@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import Coloring, four_color, verify_coloring
+# four_color stays a name of this module: bench/spans.py wraps approx.four_color.
+from .coloring import Coloring, _color_member, four_color, verify_coloring  # noqa: F401
 from .errors import ChordalityViolation, InternalCaseFailure, NotInClass
 from .graph import Graph, bits, complement, induced_subgraph
 from .patterns import certify_class
@@ -36,11 +37,10 @@ def _mcs_visit_order(g: Graph) -> list[int]:
     return order
 
 
-def is_chordal(g: Graph) -> tuple[int, tuple[int, int]] | None:
-    """None if chordal; otherwise a vertex whose later neighborhood along the
-    elimination ordering is not a clique, plus the offending nonadjacent pair."""
+def _order_violation(g: Graph, order: list[int]) -> tuple[int, tuple[int, int]] | None:
+    """is_chordal's test along a given maximum-cardinality search order."""
     visited = 0
-    for v in _mcs_visit_order(g):
+    for v in order:
         later = g.rows[v] & visited
         for x in bits(later):
             missing = later & ~g.rows[x] & ~((1 << (x + 1)) - 1)
@@ -50,11 +50,18 @@ def is_chordal(g: Graph) -> tuple[int, tuple[int, int]] | None:
     return None
 
 
+def is_chordal(g: Graph) -> tuple[int, tuple[int, int]] | None:
+    """None if chordal; otherwise a vertex whose later neighborhood along the
+    elimination ordering is not a clique, plus the offending nonadjacent pair."""
+    return _order_violation(g, _mcs_visit_order(g))
+
+
 def peo(g: Graph) -> tuple[int, ...] | None:
     """A perfect elimination ordering, or None if the graph is not chordal."""
-    if is_chordal(g) is not None:
+    order = _mcs_visit_order(g)
+    if _order_violation(g, order) is not None:
         return None
-    return tuple(reversed(_mcs_visit_order(g)))
+    return tuple(reversed(order))
 
 
 def chordal_color(g: Graph) -> Coloring:
@@ -63,12 +70,13 @@ def chordal_color(g: Graph) -> Coloring:
     Optimal for chordal graphs: the color count equals the clique number.
     Raises ChordalityViolation if the input is not chordal.
     """
-    violation = is_chordal(g)
+    order = _mcs_visit_order(g)
+    violation = _order_violation(g, order)
     if violation is not None:
         raise ChordalityViolation("chordal_color needs a chordal graph", violation)
     colors = [0] * g.n
     k = 0
-    for v in _mcs_visit_order(g):
+    for v in order:
         used = 0
         for u in bits(g.rows[v]):
             if colors[u]:
@@ -97,12 +105,13 @@ def approx_color(g: Graph) -> ApproxResult:
 
     Input must avoid induced 4P1 and C4 (witness error otherwise). All three
     ways of pairing the four cover cliques are tried; each pair-union is
-    asserted chordal, and the cheapest pairing is kept.
+    asserted chordal by its coloring, and the cheapest pairing is kept.
     """
     witness = certify_class(g, ("4P1", "C4"))
     if witness is not None:
         raise NotInClass(witness)
-    cocol, _ = four_color(complement(g))
+    # (4P1, C4)-free g has a (2P2, K4)-free complement: no second certification.
+    cocol, _ = _color_member(complement(g))
     cover = tuple(
         frozenset(v for v in range(g.n) if cocol.colors[v] == c) for c in (1, 2, 3, 4)
     )
@@ -111,14 +120,15 @@ def approx_color(g: Graph) -> ApproxResult:
         sides = []
         for a, b in pairing:
             sub, mapping = induced_subgraph(g, cover[a] | cover[b])
-            violation = is_chordal(sub)
-            if violation is not None:
-                v, (x, y) = violation
+            try:
+                col = chordal_color(sub)
+            except ChordalityViolation as exc:
+                v, (x, y) = exc.violation
                 raise ChordalityViolation(
                     f"clique pair {(a + 1, b + 1)} is not chordal",
                     (mapping[v], (mapping[x], mapping[y])),
-                )
-            sides.append((sub, mapping, chordal_color(sub)))
+                ) from exc
+            sides.append((sub, mapping, col))
         k = sides[0][2].k + sides[1][2].k
         if best is None or k < best[0]:
             best = (k, pairing, sides)

@@ -860,6 +860,12 @@ def four_color(g: Graph) -> tuple[Coloring, CaseTrace]:
     witness = certify_class(g, ("2P2", "K4"))
     if witness is not None:
         raise NotInClass(witness)
+    return _color_member(g)
+
+
+def _color_member(g: Graph) -> tuple[Coloring, CaseTrace]:
+    """four_color past its certification step, for a graph known to be
+    (2P2, K4)-free."""
     trace = CaseTrace()
     core, rtrace = reduce_to_core(g)
     colors = [0] * core.n

@@ -4,6 +4,13 @@ The search is role-ordered: a witness records which graph vertex plays each
 pattern vertex, so downstream decompositions know e.g. which cycle vertex is
 "1" and which vertex is the apex. Absence of a witness certifies freeness
 because the backtracking is exhaustive.
+
+Class certification for the four-vertex patterns uses per-edge neighborhood
+tests instead: a graph has an induced K4 iff the common neighborhood of some
+edge holds an edge, and an induced 2P2 iff the common non-neighborhood of
+some edge does; C4 and 4P1 are the same tests on the complement. The
+role-ordered search then runs only to build the witness of a pattern the
+tests found.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graph import Graph, bits, complete, cycle, empty
+from .graph import Graph, bits, complement, complete, cycle, empty
 
 
 @dataclass(frozen=True)
@@ -133,10 +140,58 @@ def find_induced(g: Graph, pattern: str | Pattern, containing: int | None = None
     return next(enumerate_induced(g, pattern, containing), None)
 
 
+def _has_k4(rows: tuple[int, ...]) -> bool:
+    """Some edge's common neighborhood holds an edge. Each 4-set is tested
+    once, from the edge of its two lowest vertices."""
+    for u, ru in enumerate(rows):
+        above = ru >> (u + 1) << (u + 1)
+        for v in bits(above):
+            common = above & rows[v] >> (v + 1) << (v + 1)
+            for x in bits(common):
+                if rows[x] & common:
+                    return True
+    return False
+
+
+def _has_2p2(rows: tuple[int, ...]) -> bool:
+    """Some edge's common non-neighborhood holds an edge. Each 4-set is
+    tested from its lowest vertex u, through the edges uv with v above u."""
+    full = (1 << len(rows)) - 1
+    for u, ru in enumerate(rows):
+        later = full >> (u + 1) << (u + 1)
+        for v in bits(ru & later):
+            far = later & ~ru & ~rows[v] & ~(1 << v)
+            for x in bits(far):
+                if rows[x] & far:
+                    return True
+    return False
+
+
+# pattern -> (test runs on the complement, per-edge test)
+_EDGE_TESTS = {
+    PATTERNS["K4"]: (False, _has_k4),
+    PATTERNS["2P2"]: (False, _has_2p2),
+    PATTERNS["4P1"]: (True, _has_k4),
+    PATTERNS["C4"]: (True, _has_2p2),
+}
+
+
 def certify_class(g: Graph, forbidden) -> Witness | None:
-    """First witness of any forbidden pattern, or None if g avoids them all."""
+    """First witness of any forbidden pattern, or None if g avoids them all.
+
+    2P2, K4, C4 and 4P1 are tested per edge; the role-ordered search runs
+    only on a pattern that is present, to produce its witness.
+    """
+    co_rows = None
     for pattern in forbidden:
-        w = find_induced(g, pattern)
+        p = get_pattern(pattern)
+        if p in _EDGE_TESTS:
+            on_complement, present = _EDGE_TESTS[p]
+            if on_complement and co_rows is None:
+                co_rows = complement(g).rows
+            if not present(co_rows if on_complement else g.rows):
+                continue
+        w = find_induced(g, p)
         if w is not None:
             return w
     return None

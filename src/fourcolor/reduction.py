@@ -20,33 +20,39 @@ class ReductionTrace:
     core_vertices: tuple[int, ...]      # core index -> original id
 
 
-def find_comparable_pair(g: Graph) -> tuple[int, int] | None:
-    """Nonadjacent (u, v) with N(u) subseteq N(v), smallest u then smallest v."""
-    for u in range(g.n):
-        ru = g.rows[u]
-        for v in range(g.n):
-            if v == u or (ru >> v) & 1:
-                continue
-            if ru & ~g.rows[v] == 0:
-                return u, v
+def _first_comparable(rows: tuple[int, ...], alive: int) -> tuple[int, int] | None:
+    """Smallest u, then smallest v, among alive vertices of the subgraph the
+    mask induces, with u, v nonadjacent and N(u) subseteq N(v)."""
+    for u in bits(alive):
+        ru = rows[u] & alive
+        # v is adjacent to every neighbor of u iff N(u) subseteq N(v)
+        cand = alive & ~ru & ~(1 << u)
+        for x in bits(ru):
+            cand &= rows[x]
+        if cand:
+            return u, (cand & -cand).bit_length() - 1
     return None
 
 
+def find_comparable_pair(g: Graph) -> tuple[int, int] | None:
+    """Nonadjacent (u, v) with N(u) subseteq N(v), smallest u then smallest v."""
+    return _first_comparable(g.rows, (1 << g.n) - 1)
+
+
 def reduce_to_core(g: Graph) -> tuple[Graph, ReductionTrace]:
-    """Delete dominated vertices until no comparable pair remains."""
-    current = g
-    to_orig = tuple(range(g.n))
+    """Delete dominated vertices until no comparable pair remains.
+
+    The deleted vertices leave an alive mask; the core is built once, at the
+    end. Each step takes the first pair of the remaining subgraph, so the
+    removal order is that of rebuilding the subgraph after every deletion.
+    """
+    alive = (1 << g.n) - 1
     steps: list[tuple[int, int]] = []
-    while True:
-        pair = find_comparable_pair(current)
-        if pair is None:
-            break
-        u, v = pair
-        steps.append((to_orig[u], to_orig[v]))
-        keep = [w for w in range(current.n) if w != u]
-        current, local = induced_subgraph(current, keep)
-        to_orig = tuple(to_orig[w] for w in local)
-    return current, ReductionTrace(g.n, tuple(steps), to_orig)
+    while (pair := _first_comparable(g.rows, alive)) is not None:
+        steps.append(pair)
+        alive &= ~(1 << pair[0])
+    core, to_orig = induced_subgraph(g, bits(alive))
+    return core, ReductionTrace(g.n, tuple(steps), to_orig)
 
 
 def reinsert_colors(g: Graph, core_coloring, trace: ReductionTrace):

@@ -11,7 +11,7 @@ from itertools import combinations, permutations, product
 
 from hypothesis import strategies as st
 
-from fourcolor import Graph, PATTERNS
+from fourcolor import Graph, PATTERNS, complement
 
 
 @st.composite
@@ -28,6 +28,44 @@ def graphs(draw, max_n: int = 10, min_n: int = 0):
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+@st.composite
+def large_graphs(draw, max_n: int = 30):
+    """Graphs with up to max_n vertices on both sides of the class tests:
+    random graphs from sparse to dense, and relabelled C5 blow-ups (members
+    of the (2P2, K4)-free class) with up to three edges flipped, or their
+    complements."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n = draw(st.integers(0, max_n))
+        return random_graph(rng, n, draw(st.sampled_from([0.05, 0.15, 0.5, 0.85, 0.95])))
+    sizes = draw(st.lists(st.integers(0, max_n // 5), min_size=5, max_size=5))
+    starts = [sum(sizes[:i]) for i in range(6)]
+    n = starts[5]
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = {
+        frozenset((label[a], label[b]))
+        for i in range(5)
+        for a in range(starts[i], starts[i + 1])
+        for b in range(starts[(i + 1) % 5], starts[(i + 1) % 5 + 1])
+    }
+    if n >= 2:
+        for _ in range(draw(st.integers(0, 3))):
+            edges ^= {frozenset(rng.sample(range(n), 2))}
+    g = Graph.from_edges(n, [tuple(e) for e in edges])
+    if draw(st.booleans()):
+        g = complement(g)
+    return g
+
+
+def all_labelled_graphs(max_n: int):
+    """Every labelled graph with at most max_n vertices."""
+    for n in range(max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield Graph.from_edges(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
 
 
 def naive_find_induced(g: Graph, pattern_name: str) -> tuple[int, ...] | None:

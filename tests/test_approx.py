@@ -1,7 +1,9 @@
 import pytest
 
+import fourcolor.approx
 from fourcolor import (
     ChordalityViolation,
+    Coloring,
     Graph,
     NotInClass,
     approx_color,
@@ -135,3 +137,23 @@ def test_approx_cover_and_breakdown_are_consistent():
         # factor-two guarantee against the oracle
         chi, _ = exact_chromatic(g)
         assert chi <= res.coloring.k <= 2 * chi
+
+
+def test_approx_reports_a_non_chordal_pair_in_original_ids(monkeypatch):
+    # A five-cycle on 2..6 plus two universal vertices 0 and 1 is (4P1, C4)-free.
+    # The fake colourer puts the whole cycle in one class, so the union of
+    # cliques 3 and 4 is the five-cycle, seen at local ids 0..4.
+    g = Graph.from_edges(
+        7, [(2 + i, 2 + (i + 1) % 5) for i in range(5)] + [(u, v) for u in (0, 1) for v in range(7) if v != u]
+    )
+    monkeypatch.setattr(
+        fourcolor.approx, "_color_member", lambda co: (Coloring((1, 2, 3, 3, 3, 3, 3), 3), None)
+    )
+    with pytest.raises(ChordalityViolation) as err:
+        approx_color(g)
+    with pytest.raises(ChordalityViolation) as local:
+        chordal_color(cycle(5))
+    v, (x, y) = local.value.violation
+    assert err.value.violation == (v + 2, (x + 2, y + 2))
+    assert str(err.value) == f"clique pair (3, 4) is not chordal: {err.value.violation}"
+    assert not g.has_edge(x + 2, y + 2)

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import graphs, naive_find_induced, random_graph
+from conftest import all_labelled_graphs, graphs, large_graphs, naive_find_induced, random_graph
 from fourcolor import (
     PATTERNS,
     certify_class,
@@ -121,3 +121,40 @@ def test_enumeration_is_deterministic():
     first = [w.vertices for w in enumerate_induced(g, "C4")]
     second = [w.vertices for w in enumerate_induced(g, "C4")]
     assert first == second
+
+
+EDGE_TESTED = ("2P2", "K4", "4P1", "C4")
+FORBIDDEN_SETS = [("2P2", "K4"), ("K4", "2P2"), ("4P1", "C4"), ("C4", "4P1")] + [
+    (p,) for p in EDGE_TESTED
+]
+
+
+def reference_certify(g, forbidden):
+    """The plain loop over the role-ordered search that certify_class must match."""
+    for pattern in forbidden:
+        w = find_induced(g, pattern)
+        if w is not None:
+            return w
+    return None
+
+
+def test_certify_class_matches_the_search_on_every_small_graph():
+    for g in all_labelled_graphs(6):
+        first = {p: find_induced(g, p) for p in EDGE_TESTED}
+        for forbidden in FORBIDDEN_SETS:
+            want = next((first[p] for p in forbidden if first[p] is not None), None)
+            assert certify_class(g, forbidden) == want, (g.rows, forbidden)
+
+
+@given(large_graphs(max_n=30))
+@settings(max_examples=150, deadline=None)
+def test_certify_class_matches_the_search_on_larger_graphs(g):
+    for forbidden in FORBIDDEN_SETS:
+        assert certify_class(g, forbidden) == reference_certify(g, forbidden)
+
+
+@given(graphs(max_n=8))
+@settings(max_examples=40, deadline=None)
+def test_certify_class_keeps_the_search_for_other_patterns(g):
+    for pattern in sorted(set(PATTERNS) - set(EDGE_TESTED)):
+        assert certify_class(g, (pattern,)) == find_induced(g, pattern)

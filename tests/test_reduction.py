@@ -3,15 +3,17 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import graphs, naive_chromatic, random_graph
+from conftest import all_labelled_graphs, graphs, large_graphs, naive_chromatic, random_graph
 from fourcolor import (
     Graph,
     Coloring,
+    ReductionTrace,
     ReinsertionConflict,
     complete,
     cycle,
     empty,
     find_comparable_pair,
+    induced_subgraph,
     path,
     reduce_to_core,
     reinsert_colors,
@@ -97,3 +99,46 @@ def test_core_preserves_chromatic_number(g):
     assert verify_coloring(g, back) is None
     assert back.k == chi_core
     assert max(back.colors, default=0) <= chi_core
+
+
+def reference_reduce(g):
+    """Rebuild the induced subgraph after every deletion, scanning it for the
+    smallest u, then smallest v, that are nonadjacent with N(u) subseteq N(v)."""
+    current = g
+    to_orig = tuple(range(g.n))
+    steps = []
+    while True:
+        pair = next(
+            (
+                (u, v)
+                for u in range(current.n)
+                for v in range(current.n)
+                if v != u
+                and not current.has_edge(u, v)
+                and current.rows[u] & ~current.rows[v] == 0
+            ),
+            None,
+        )
+        if pair is None:
+            return current, ReductionTrace(g.n, tuple(steps), to_orig)
+        u, v = pair
+        steps.append((to_orig[u], to_orig[v]))
+        current, local = induced_subgraph(current, [w for w in range(current.n) if w != u])
+        to_orig = tuple(to_orig[w] for w in local)
+
+
+def test_reduce_to_core_matches_the_rebuild_loop_on_every_small_graph():
+    for g in all_labelled_graphs(6):
+        core, trace = reduce_to_core(g)
+        ref_core, ref_trace = reference_reduce(g)
+        assert core.rows == ref_core.rows and trace == ref_trace, g.rows
+
+
+@given(large_graphs(max_n=30))
+@settings(max_examples=100, deadline=None)
+def test_reduce_to_core_matches_the_rebuild_loop_on_larger_graphs(g):
+    core, trace = reduce_to_core(g)
+    ref_core, ref_trace = reference_reduce(g)
+    assert core.rows == ref_core.rows
+    assert trace == ref_trace
+    assert find_comparable_pair(g) == (ref_trace.steps[0] if ref_trace.steps else None)
