@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .approx import approx_color
@@ -36,10 +37,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _load_graph(spec: str) -> Graph:
@@ -222,9 +219,7 @@ def _cmd_generate(args, out) -> int:
         n=args.n, seed=args.seed, p=args.p, cls=args.cls, method=args.method
     )
     for i in range(args.count):
-        one = cfg if i == 0 else GeneratorConfig(
-            n=cfg.n, seed=cfg.seed + i, p=cfg.p, cls=cfg.cls, method=cfg.method
-        )
+        one = replace(cfg, seed=cfg.seed + i)
         g = generate(one)
         if args.porcelain:
             print(

@@ -25,6 +25,7 @@ from .structure import (
     H2_CYCLE_REFLECTION,
     c5_partition,
     first_cross_edge,
+    first_internal_edge,
     first_missing_cross,
     h1_partition,
     mask_of,
@@ -126,11 +127,9 @@ class _Classes:
                 dup = union & m
                 raise InternalCaseFailure(case, "classes overlap", ((dup & -dup).bit_length() - 1,))
             union |= m
-            for u in bits(m):
-                hit = g.rows[u] & m & ~((1 << (u + 1)) - 1)
-                if hit:
-                    v = (hit & -hit).bit_length() - 1
-                    raise InternalCaseFailure(case, f"class {i + 1} is not independent", (u, v))
+            edge = first_internal_edge(g, m)
+            if edge is not None:
+                raise InternalCaseFailure(case, f"class {i + 1} is not independent", edge)
         if union != (1 << g.n) - 1:
             missing = ~union & ((1 << g.n) - 1)
             raise InternalCaseFailure(
@@ -483,8 +482,22 @@ def _h1_case_f12_only(g, part, preds, side_d):
 # -- apex anchor ---------------------------------------------------------------------
 
 
-def _h2_body(g: Graph, cyc: tuple[int, ...], apex: int, preds: list) -> tuple[str, _Classes]:
+def _h2_strips(g: Graph, cyc: tuple[int, ...], apex: int):
+    """The partition on cyc and its R strips split by the apex: (part, R', R'')."""
     part = c5_partition(g, cyc)
+    frow = g.rows[apex]
+    Rp = [set(v for v in part.R[i] if (frow >> v) & 1) for i in range(5)]
+    Rpp = [set(part.R[i]) - Rp[i] for i in range(5)]
+    return part, Rp, Rpp
+
+
+def _h2_mirrored(g: Graph, part: C5Partition, apex: int):
+    """_h2_strips on the reflected cycle, which swaps the two near R strips."""
+    return _h2_strips(g, permute(part.cycle, H2_CYCLE_REFLECTION), apex)
+
+
+def _h2_body(g: Graph, cyc: tuple[int, ...], apex: int, preds: list) -> _Classes:
+    part, Rp, Rpp = _h2_strips(g, cyc, apex)
     c, R, Y, F, Z, U = part.cycle, part.R, part.Y, part.F, part.Z, part.U
     for i in range(4):
         if F[i]:
@@ -493,7 +506,7 @@ def _h2_body(g: Graph, cyc: tuple[int, ...], apex: int, preds: list) -> tuple[st
         preds.append(("u_nonempty", True))
         if _anti(g, Y[2], R[1]):
             preds.append(("y3_r2_anticomplete", True))
-            return "h2/hubbed/a", _Classes(
+            return _Classes(
                 g,
                 "h2/hubbed/a",
                 [
@@ -506,7 +519,7 @@ def _h2_body(g: Graph, cyc: tuple[int, ...], apex: int, preds: list) -> tuple[st
         preds.append(("y3_r2_anticomplete", False))
         if not _anti(g, Y[1], R[2]):
             raise InternalCaseFailure("h2/hubbed", "neither Y/R side is anti-complete")
-        return "h2/hubbed/b", _Classes(
+        return _Classes(
             g,
             "h2/hubbed/b",
             [
@@ -519,9 +532,6 @@ def _h2_body(g: Graph, cyc: tuple[int, ...], apex: int, preds: list) -> tuple[st
     preds.append(("u_nonempty", False))
     if F[4] != frozenset({apex}):
         raise InternalCaseFailure("h2/setup", "apex strip is not a singleton", tuple(sorted(F[4])))
-    frow = g.rows[apex]
-    Rp = [set(v for v in R[i] if (frow >> v) & 1) for i in range(5)]
-    Rpp = [set(R[i]) - Rp[i] for i in range(5)]
     if Rpp[1] and Rpp[2]:
         raise InternalCaseFailure("h2/setup", "both detached R strips nonempty")
 
@@ -536,29 +546,45 @@ def color_h2_case(
     """4-coloring when a best apex anchor exists (ring-anchor-free graph)."""
     apex = witness.vertices[5]
     preds: list[tuple[str, bool]] = []
-    case, classes = _h2_body(g, part.cycle, apex, preds)
+    classes = _h2_body(g, part.cycle, apex, preds)
     if trace is not None:
-        trace.add("h2", case, preds, part.cycle + (apex,), label)
+        trace.add("h2", classes.case, preds, part.cycle + (apex,), label)
     return classes.finish()
+
+
+def _h2_fit_z(g, part, y4, cls: _Classes, alone: int, spread: tuple[int, ...], preds) -> bool:
+    """Place Z into cls: all into class `alone` when Z misses Y[2], else first
+    fit over `spread`; False, placing nothing, when some z sees Y[2], y4 and
+    Y[4] and the caller must rebuild its classes."""
+    Y, zmask = part.Y, mask_of(part.Z)
+    if first_cross_edge(g, zmask, mask_of(Y[2])) is None:
+        preds.append(("z_y3_anticomplete", True))
+        cls.place_all(part.Z, (alone,))
+        return True
+    preds.append(("z_y3_anticomplete", False))
+    if Y[1]:
+        raise InternalCaseFailure(cls.case, "middle Y strip should be empty", (min(Y[1]),))
+    y3m, y4m, y5m = mask_of(Y[2]), mask_of(y4), mask_of(Y[4])
+    stuck = [z for z in bits(zmask) if g.rows[z] & y3m and g.rows[z] & y4m and g.rows[z] & y5m]
+    preds.append(("z_sees_three_y", bool(stuck)))
+    if stuck:
+        return False
+    cls.place_all(part.Z, spread)
+    return True
 
 
 def _h2_case_no_apex_r5(g, part, apex, Rp, Rpp, preds):
     preds.append(("apex_sees_r5", False))
     if Rpp[1]:
         # Mirror so the detached strip sits on the far side.
-        cyc = permute(part.cycle, H2_CYCLE_REFLECTION)
-        part = c5_partition(g, cyc)
-        frow = g.rows[apex]
-        Rp = [set(v for v in part.R[i] if (frow >> v) & 1) for i in range(5)]
-        Rpp = [set(part.R[i]) - Rp[i] for i in range(5)]
+        part, Rp, Rpp = _h2_mirrored(g, part, apex)
         if Rpp[1]:
             raise InternalCaseFailure("h2/apexfree", "detached strip survives mirroring")
     c, R, Y, Z = part.cycle, part.R, part.Y, part.Z
     y2_clean, y2_attached = _split_by_attachment(g, Y[1], Y[4])
-    case = "h2/apexfree"
     cls = _Classes(
         g,
-        case,
+        "h2/apexfree",
         [
             y2_clean | Y[4] | R[0] | {c[0]},
             y2_attached | Y[3] | {c[2]},
@@ -568,24 +594,11 @@ def _h2_case_no_apex_r5(g, part, apex, Rp, Rpp, preds):
     )
     for r in sorted(R[2]):
         cls.place(r, (0, 1) if r in Rp[2] else (1, 3))
-    zmask = mask_of(Z)
-    if first_cross_edge(g, zmask, mask_of(Y[2])) is None:
-        preds.append(("z_y3_anticomplete", True))
-        cls.place_all(Z, (2,))
-        return case, cls
-    preds.append(("z_y3_anticomplete", False))
-    if Y[1]:
-        raise InternalCaseFailure(case, "middle Y strip should be empty", (min(Y[1]),))
-    y3m, y4m, y5m = mask_of(Y[2]), mask_of(Y[3]), mask_of(Y[4])
-    stuck = [z for z in bits(zmask) if g.rows[z] & y3m and g.rows[z] & y4m and g.rows[z] & y5m]
-    preds.append(("z_sees_three_y", bool(stuck)))
-    if not stuck:
-        cls.place_all(Z, (0, 1, 2))
-        return case, cls
-    case = "h2/apexfree/rebuilt"
-    return case, _Classes(
+    if _h2_fit_z(g, part, Y[3], cls, 2, (0, 1, 2), preds):
+        return cls
+    return _Classes(
         g,
-        case,
+        "h2/apexfree/rebuilt",
         [
             Y[0] | R[4] | Y[3] | {apex, c[4]},
             Y[2] | R[1] | {c[1]},
@@ -597,27 +610,19 @@ def _h2_case_no_apex_r5(g, part, apex, Rp, Rpp, preds):
 
 def _h2_case_apex_r5(g, part, apex, Rp, Rpp, preds):
     preds.append(("apex_sees_r5", True))
-    c, R, Y, Z = part.cycle, part.R, part.Y, part.Z
-    edge = first_cross_edge(g, mask_of(Rpp[1]), mask_of(Y[2]))
-    if edge is None:
-        mirrored = first_cross_edge(g, mask_of(Rpp[2]), mask_of(Y[1]))
-        if mirrored is not None:
-            cyc = permute(part.cycle, H2_CYCLE_REFLECTION)
-            part = c5_partition(g, cyc)
-            frow = g.rows[apex]
-            Rp = [set(v for v in part.R[i] if (frow >> v) & 1) for i in range(5)]
-            Rpp = [set(part.R[i]) - Rp[i] for i in range(5)]
-            c, R, Y, Z = part.cycle, part.R, part.Y, part.Z
-            edge = first_cross_edge(g, mask_of(Rpp[1]), mask_of(Y[2]))
-            if edge is None:
-                raise InternalCaseFailure("h2/apexed", "mirrored attachment edge vanished")
+    edge = first_cross_edge(g, mask_of(Rpp[1]), mask_of(part.Y[2]))
+    if edge is None and first_cross_edge(g, mask_of(Rpp[2]), mask_of(part.Y[1])) is not None:
+        part, Rp, Rpp = _h2_mirrored(g, part, apex)
+        edge = first_cross_edge(g, mask_of(Rpp[1]), mask_of(part.Y[2]))
+        if edge is None:
+            raise InternalCaseFailure("h2/apexed", "mirrored attachment edge vanished")
     preds.append(("rpp2_y3_attached", edge is not None))
 
     if edge is not None:
-        case = "h2/apexed/attached"
+        c, R, Y, Z = part.cycle, part.R, part.Y, part.Z
         cls = _Classes(
             g,
-            case,
+            "h2/apexed/attached",
             [
                 R[3] | Y[4] | R[0] | {c[0], c[3]},
                 Y[0] | Rpp[4] | Y[3] | {apex, c[4]},
@@ -627,23 +632,18 @@ def _h2_case_apex_r5(g, part, apex, Rp, Rpp, preds):
         )
         cls.place_all(Z, (2, 3))
         cls.place_all(Rpp[1], (1, 3))
-        return case, cls
+        return cls
 
     # Both detached strips avoid the opposite Y strips.
     if Rpp[1]:
-        cyc = permute(part.cycle, H2_CYCLE_REFLECTION)
-        part = c5_partition(g, cyc)
-        frow = g.rows[apex]
-        Rp = [set(v for v in part.R[i] if (frow >> v) & 1) for i in range(5)]
-        Rpp = [set(part.R[i]) - Rp[i] for i in range(5)]
-        c, R, Y, Z = part.cycle, part.R, part.Y, part.Z
+        part, Rp, Rpp = _h2_mirrored(g, part, apex)
         if Rpp[1]:
             raise InternalCaseFailure("h2/apexed", "detached strip survives mirroring")
+    c, R, Y, Z = part.cycle, part.R, part.Y, part.Z
     y4_clean, y4_attached = _split_by_attachment(g, Y[3], Y[0])
-    case = "h2/apexed/detached"
     cls = _Classes(
         g,
-        case,
+        "h2/apexed/detached",
         [
             R[3] | Y[4] | R[0] | {c[0], c[3]},
             Y[0] | Rpp[4] | y4_clean | {apex, c[4]},
@@ -651,24 +651,11 @@ def _h2_case_apex_r5(g, part, apex, Rp, Rpp, preds):
             Y[2] | Rp[1] | Rp[4] | {c[1]},
         ],
     )
-    zmask = mask_of(Z)
-    if first_cross_edge(g, zmask, mask_of(Y[2])) is None:
-        preds.append(("z_y3_anticomplete", True))
-        cls.place_all(Z, (3,))
-        return case, cls
-    preds.append(("z_y3_anticomplete", False))
-    if Y[1]:
-        raise InternalCaseFailure(case, "middle Y strip should be empty", (min(Y[1]),))
-    y3m, y4am, y5m = mask_of(Y[2]), mask_of(y4_attached), mask_of(Y[4])
-    stuck = [z for z in bits(zmask) if g.rows[z] & y3m and g.rows[z] & y4am and g.rows[z] & y5m]
-    preds.append(("z_sees_three_y", bool(stuck)))
-    if not stuck:
-        cls.place_all(Z, (0, 2, 3))
-        return case, cls
-    case = "h2/apexed/rebuilt"
-    return case, _Classes(
+    if _h2_fit_z(g, part, y4_attached, cls, 3, (0, 2, 3), preds):
+        return cls
+    return _Classes(
         g,
-        case,
+        "h2/apexed/rebuilt",
         [
             R[3] | Y[4] | R[0] | {c[0], c[3]},
             Y[0] | Rpp[4] | Y[3] | {apex, c[4]},
@@ -716,43 +703,30 @@ def color_c5_case(g: Graph, part: C5Partition, trace: CaseTrace | None = None, l
             raise InternalCaseFailure("c5/setup", f"apex strip F[{i}] not empty", (min(part.F[i]),))
 
     ymasks = [mask_of(part.Y[i]) for i in range(5)]
-    crowded = None
+    missing = None
     for z in sorted(part.Z):
         hit = [i for i in range(5) if g.rows[z] & ymasks[i]]
         if len(hit) == 5:
             raise InternalCaseFailure("c5/setup", f"vertex {z} reaches all five Y strips", (z,))
         if len(hit) == 4:
-            crowded = (z, next(i for i in range(5) if i not in hit))
+            missing = next(i for i in range(5) if i not in hit)
             break
-    preds.append(("z_sees_four_y", crowded is not None))
+    preds.append(("z_sees_four_y", missing is not None))
 
-    if crowded is not None:
-        _, missing = crowded
+    case = "c5/spread"
+    if missing is not None:
+        # Rotate the strip z misses to Y[4]; with Y[4] empty the placement
+        # below puts all of Z (independent, and anti-complete to R) in class 2.
+        case = "c5/crowded"
         part = c5_partition(g, rotate_cycle(part.cycle, (missing + 1) % 5))
         if part.Y[4]:
-            raise InternalCaseFailure("c5/crowded", "rotated far Y strip not empty", (min(part.Y[4]),))
-        c, R, Y, Z = part.cycle, part.R, part.Y, part.Z
-        y4_clean, y4_attached = _split_by_attachment(g, Y[3], Y[0])
-        r4_clean, r4_attached = _split_by_attachment(g, R[3], R[0])
-        if trace is not None:
-            trace.add("c5", "c5/crowded", preds, part.cycle, label)
-        return _emit(
-            g,
-            "c5/crowded",
-            [
-                Y[0] | R[4] | y4_clean | {c[4]},
-                Y[1] | R[2] | y4_attached | {c[2]},
-                R[0] | Z | r4_clean | {c[0]},
-                R[1] | Y[2] | r4_attached | {c[1], c[3]},
-            ],
-        )
-
+            raise InternalCaseFailure(case, "rotated far Y strip not empty", (min(part.Y[4]),))
     c, R, Y, Z = part.cycle, part.R, part.Y, part.Z
     y4_clean, y4_attached = _split_by_attachment(g, Y[3], Y[0])
     r4_clean, r4_attached = _split_by_attachment(g, R[3], R[0])
     cls = _Classes(
         g,
-        "c5/spread",
+        case,
         [
             Y[0] | R[4] | y4_clean | {c[4]},
             Y[1] | R[2] | y4_attached | {c[2]},
@@ -767,7 +741,7 @@ def color_c5_case(g: Graph, part: C5Partition, trace: CaseTrace | None = None, l
         else:
             cls.place(z, (0, 1))
     if trace is not None:
-        trace.add("c5", "c5/spread", preds, part.cycle, label)
+        trace.add("c5", case, preds, part.cycle, label)
     return cls.finish()
 
 
@@ -801,25 +775,32 @@ def color_fallback(g: Graph, trace: CaseTrace | None = None, label=None) -> Colo
                 best, best_key = v, key
         return best
 
-    def assign(count: int) -> bool:
-        if count == n:
-            return True
-        v = pick()
-        for color in bits(0b1111 & ~forbidden[v]):
-            colors[v] = color + 1
-            touched = []
-            for u in bits(g.rows[v]):
-                if not colors[u] and not (forbidden[u] >> color) & 1:
-                    forbidden[u] |= 1 << color
-                    touched.append(u)
-            if assign(count + 1):
-                return True
+    # Depth-first search with an explicit stack, one frame per colored vertex:
+    # [vertex, colors not yet tried, color in use (-1 for none), neighbors it
+    # newly forbade that color to].
+    first = pick()
+    stack = [[first, 0b1111 & ~forbidden[first], -1, ()]]
+    while stack:
+        frame = stack[-1]
+        v, untried, color, touched = frame
+        if color >= 0:
             colors[v] = 0
             for u in touched:
                 forbidden[u] &= ~(1 << color)
-        return False
-
-    if not assign(0):
+        if not untried:
+            stack.pop()
+            continue
+        color = (untried & -untried).bit_length() - 1
+        touched = [u for u in bits(g.rows[v]) if not colors[u] and not (forbidden[u] >> color) & 1]
+        colors[v] = color + 1
+        for u in touched:
+            forbidden[u] |= 1 << color
+        frame[1:] = untried & (untried - 1), color, touched
+        if len(stack) == n:
+            break
+        nxt = pick()
+        stack.append([nxt, 0b1111 & ~forbidden[nxt], -1, ()])
+    else:
         raise InternalCaseFailure("fallback", "4-color search exhausted")
     used = sorted(set(colors))
     remap = {c: i + 1 for i, c in enumerate(used)}

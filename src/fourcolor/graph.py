@@ -8,7 +8,17 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import GraphFormatError
+from .errors import GraphFormatError, SizeGuardExceeded
+
+# Largest vertex count either parser accepts. Both check a header against it
+# before allocating anything for the graph, so a header alone cannot ask for
+# gigabytes.
+MAX_N = 1 << 16
+
+
+def _check_size(n: int) -> None:
+    if n > MAX_N:
+        raise SizeGuardExceeded(f"graph has n={n} vertices; the parsers accept n<={MAX_N}")
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -196,6 +206,7 @@ def parse_graph6(text: str) -> Graph:
         for d in data[2:8]:
             n = (n << 6) | d
         idx = 8
+    _check_size(n)
     need = (n * (n - 1) // 2 + 5) // 6
     body = data[idx:]
     if len(body) != need:
@@ -232,6 +243,7 @@ def parse_edge_list(text: str) -> Graph:
     if len(header) != 2:
         raise GraphFormatError("edge-list header must be 'n m'")
     n, m = header
+    _check_size(n)
     if len(rows) - 1 != m:
         raise GraphFormatError(f"edge list declares m={m} but has {len(rows) - 1} edge lines")
     edges = []

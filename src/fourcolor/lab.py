@@ -17,6 +17,15 @@ from .coloring import Coloring
 from .errors import GenerationError, NotInClass, SizeGuardExceeded
 from .graph import Graph, bits, complement, cycle, empty, emit_graph6, parse_graph6
 from .patterns import PATTERNS, certify_class, find_induced
+from .structure import (
+    C5_STRIPS,
+    H1_D_F,
+    H1_STRIPS,
+    H1_W_COMPLETE,
+    c5_partition,
+    h1_partition,
+    mask_of,
+)
 
 CHI_GUARD = 24
 OMEGA_GUARD = 40
@@ -95,26 +104,34 @@ def _try_k_coloring(g: Graph, k: int, clique: list[int]) -> list[int] | None:
                 best, sat = v, s
         return best
 
-    def assign(count: int) -> bool:
-        if count == n:
-            return True
-        v = pick()
-        avail = fullk & ~nearby[v]
-        for cbit in bits(avail):
-            colors[v] = cbit + 1
-            touched = []
-            for u in bits(rows[v]):
-                if not colors[u] and not (nearby[u] >> cbit) & 1:
-                    nearby[u] |= 1 << cbit
-                    touched.append(u)
-            if assign(count + 1):
-                return True
+    if len(clique) == n:
+        return colors
+    # Depth-first search with an explicit stack, one frame per colored vertex:
+    # [vertex, colors not yet tried, color in use (-1 for none), neighbors it
+    # newly forbade that color to].
+    first = pick()
+    stack = [[first, fullk & ~nearby[first], -1, ()]]
+    while stack:
+        frame = stack[-1]
+        v, untried, cbit, touched = frame
+        if cbit >= 0:
             colors[v] = 0
             for u in touched:
                 nearby[u] &= ~(1 << cbit)
-        return False
-
-    return colors if assign(len(clique)) else None
+        if not untried:
+            stack.pop()
+            continue
+        cbit = (untried & -untried).bit_length() - 1
+        touched = [u for u in bits(rows[v]) if not colors[u] and not (nearby[u] >> cbit) & 1]
+        colors[v] = cbit + 1
+        for u in touched:
+            nearby[u] |= 1 << cbit
+        frame[1:] = untried & (untried - 1), cbit, touched
+        if len(stack) + len(clique) == n:
+            return colors
+        nxt = pick()
+        stack.append([nxt, fullk & ~nearby[nxt], -1, ()])
+    return None
 
 
 def exact_chromatic(g: Graph, limit: int = CHI_GUARD) -> tuple[int, Coloring]:
@@ -305,26 +322,10 @@ def _incremental(rng: random.Random, n: int, p: float, forbidden, start: str | N
 
 
 # Strip-template growth around an anchor. Each planted vertex copies one of
-# the decomposition neighborhoods; adjacency to already-classified vertices is
-# forced where the class requires completeness or anti-completeness and coin-
-# flipped where it is genuinely free. Additions creating a forbidden pattern
+# the strip neighborhoods of structure's strip tables; adjacency to already-
+# classified vertices is forced where the class requires completeness or anti-
+# completeness and coin-flipped where it is genuinely free. Additions creating a forbidden pattern
 # or a comparable pair are rejected, so cores stay rich under reduction.
-
-_C5_STRIP_RING = {
-    "R": lambda i: ((i - 1) % 5, (i + 1) % 5),
-    "Y": lambda i: ((i - 2) % 5, i, (i + 2) % 5),
-    "F": lambda i: tuple(j for j in range(5) if j != i),
-    "U": lambda i: tuple(range(5)),
-    "Z": lambda i: (),
-}
-
-_H1_STRIP_RING = {
-    "D": lambda i: (i, (i + 1) % 6),
-    "T": lambda i: ((i - 1) % 6, i, (i + 1) % 6),
-    "F": lambda i: ((i - 1) % 6, i, (i + 1) % 6, (i + 2) % 6),
-    "W": lambda i: (0, 1, 3, 4),
-}
-
 
 def _c5_relation(k1: str, i1: int, k2: str, i2: int) -> str:
     """'c' complete, 'a' anti-complete, 'f' free, for five-cycle strips."""
@@ -351,16 +352,6 @@ def _c5_relation(k1: str, i1: int, k2: str, i2: int) -> str:
         other = k1 if k2 == "Z" else k2
         return {"R": "a", "Y": "f", "F": "f", "Z": "a"}[other]
     return "f"
-
-
-_H1_DF_RELATION = {
-    (0, 5): "a", (0, 1): "a", (0, 3): "c",
-    (3, 2): "a", (3, 4): "a", (3, 0): "c",
-    (1, 0): "a", (1, 4): "c", (1, 5): "c",
-    (2, 3): "a", (2, 4): "c", (2, 5): "c",
-    (5, 0): "a", (5, 1): "c", (5, 2): "c",
-    (4, 3): "a", (4, 1): "c", (4, 2): "c",
-}
 
 
 def _h1_relation(k1: str, i1: int, k2: str, i2: int) -> str:
@@ -391,37 +382,34 @@ def _h1_relation(k1: str, i1: int, k2: str, i2: int) -> str:
             return "a"
         return "f"
     if pair == ("D", "F"):
-        return _H1_DF_RELATION.get((i1, i2), "f")
+        anti, comp = H1_D_F[i1]
+        return "a" if i2 in anti else "c" if i2 in comp else "f"
     if "W" in pair:
         other, idx = ((k1, i1) if k2 == "W" else (k2, i2))
         if other == "W":
             return "a"
-        hub_complete = {"D": (1, 2, 4, 5), "T": (0, 1, 3, 4), "F": (0, 3)}
-        return "c" if idx in hub_complete[other] else "a"
+        return "c" if idx in H1_W_COMPLETE[other] else "a"
     return "f"
 
 
+def _menu(strips, kinds: str) -> list[tuple[str, int]]:
+    return [(kind, i) for kind in kinds for i in range(len(strips[kind]))]
+
+
 _PLANT_MENUS = {
-    "C5": [("R", i) for i in range(5)] + [("Y", i) for i in range(5)] + [("Z", 0)],
-    "H2": [("R", i) for i in range(5)] + [("Y", i) for i in range(5)] + [("Z", 0)],
-    "W5": [("R", i) for i in range(5)] + [("Y", i) for i in range(5)] + [("Z", 0), ("U", 0)],
-    "H1": [("D", i) for i in range(6)]
-    + [("T", i) for i in range(6)]
-    + [("F", i) for i in range(6)]
-    + [("W", 0)],
+    "C5": _menu(C5_STRIPS, "RYZ"),
+    "H2": _menu(C5_STRIPS, "RYZ"),
+    "W5": _menu(C5_STRIPS, "RYZU"),
+    "H1": _menu(H1_STRIPS, "DTFW"),
 }
 
 
 def _planted(rng: random.Random, n: int, p: float, forbidden, anchor_name: str) -> Graph:
-    from .structure import c5_partition, h1_partition
-
     key = anchor_name.upper()
     if key not in _PLANT_MENUS:
         raise GenerationError(f"no plant menu for anchor {anchor_name!r}")
     g = construction(key)
-    ring_size = 6 if key == "H1" else 5
-    anchor = tuple(range(ring_size))
-    ring_of = _H1_STRIP_RING if key == "H1" else _C5_STRIP_RING
+    strips = H1_STRIPS if key == "H1" else C5_STRIPS
     relation = _h1_relation if key == "H1" else _c5_relation
     gate = tuple(forbidden) + (("H1",) if key in ("H2", "W5") and "H1" not in forbidden else ())
 
@@ -430,7 +418,7 @@ def _planted(rng: random.Random, n: int, p: float, forbidden, anchor_name: str) 
             part = h1_partition(graph, tuple(range(7)))
             strips = [("D", part.D), ("T", part.T), ("F", part.F), ("W", (part.W,)), ("Z", (part.Z,))]
         else:
-            part = c5_partition(graph, anchor)
+            part = c5_partition(graph, tuple(range(5)))
             strips = [("R", part.R), ("Y", part.Y), ("F", part.F), ("U", (part.U,)), ("Z", (part.Z,))]
         where = {}
         for kind, groups in strips:
@@ -445,9 +433,7 @@ def _planted(rng: random.Random, n: int, p: float, forbidden, anchor_name: str) 
         placed = False
         for _ in range(_INCREMENTAL_TRIES):
             kind, idx = menu[rng.randrange(len(menu))]
-            mask = 0
-            for r in ring_of[kind](idx):
-                mask |= 1 << anchor[r]
+            mask = mask_of(strips[kind][idx])
             for v, (k2, i2) in where.items():
                 rel = relation(kind, idx, k2, i2)
                 if rel == "c" or (rel == "f" and rng.random() < p):

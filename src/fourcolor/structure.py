@@ -80,49 +80,77 @@ class H1Partition:
     W: frozenset[int]              # ring neighborhood {0, 1, 3, 4}
 
 
-def _build_c5_table() -> dict[int, tuple[str, int]]:
-    full = (1 << 5) - 1
-    table = {0: ("Z", 0)}
-    for i in range(5):
-        table[(1 << (i - 1) % 5) | (1 << (i + 1) % 5)] = ("R", i)
-        table[(1 << (i - 2) % 5) | (1 << i) | (1 << (i + 2) % 5)] = ("Y", i)
-        table[full ^ (1 << i)] = ("F", i)
-    table[full] = ("U", 0)
-    return table
+# Each strip is defined by the anchor roles its vertices see: kind -> one tuple
+# of roles per index. Kinds are listed in partition-field order, and a kind
+# with a single strip (Z, U, W) is a plain set in the partition.
+C5_STRIPS: dict[str, tuple[tuple[int, ...], ...]] = {
+    "Z": ((),),
+    "R": tuple(((i - 1) % 5, (i + 1) % 5) for i in range(5)),
+    "Y": tuple(((i - 2) % 5, i, (i + 2) % 5) for i in range(5)),
+    "F": tuple(tuple(j for j in range(5) if j != i) for i in range(5)),
+    "U": (tuple(range(5)),),
+}
+
+H1_STRIPS: dict[str, tuple[tuple[int, ...], ...]] = {
+    "Z": ((),),
+    "D": tuple((i, (i + 1) % 6) for i in range(6)),
+    "T": tuple(((i - 1) % 6, i, (i + 1) % 6) for i in range(6)),
+    "F": tuple(((i - 1) % 6, i, (i + 1) % 6, (i + 2) % 6) for i in range(6)),
+    "W": ((0, 1, 3, 4),),
+}
+
+# Indices of the H1 strips complete to W; W is anti-complete to the others.
+H1_W_COMPLETE = {"D": (1, 2, 4, 5), "T": (0, 1, 3, 4), "F": (0, 3)}
+
+# D[i] -> (indices j with D[i] anti-complete to F[j], those with it complete).
+H1_D_F = {
+    0: ((5, 1), (3,)),
+    1: ((0,), (4, 5)),
+    2: ((3,), (4, 5)),
+    3: ((2, 4), (0,)),
+    4: ((3,), (1, 2)),
+    5: ((0,), (1, 2)),
+}
 
 
-def _build_h1_table() -> dict[int, tuple[str, int]]:
-    table = {0: ("Z", 0)}
-    for i in range(6):
-        table[(1 << i) | (1 << (i + 1) % 6)] = ("D", i)
-        table[(1 << (i - 1) % 6) | (1 << i) | (1 << (i + 1) % 6)] = ("T", i)
-        table[
-            (1 << (i - 1) % 6) | (1 << i) | (1 << (i + 1) % 6) | (1 << (i + 2) % 6)
-        ] = ("F", i)
-    table[0b011011] = ("W", 0)
-    return table
+def _slot_layout(strips) -> tuple[dict[int, int], tuple[tuple[int, int], ...]]:
+    """(anchor profile -> flat slot, each kind's slot range)."""
+    table: dict[int, int] = {}
+    spans = []
+    for groups in strips.values():
+        start = len(table)
+        for roles in groups:
+            table[mask_of(roles)] = len(table)
+        spans.append((start, len(table)))
+    return table, tuple(spans)
 
 
-_C5_TABLE = _build_c5_table()
-_H1_TABLE = _build_h1_table()
+_C5_LAYOUT = _slot_layout(C5_STRIPS)
+_H1_LAYOUT = _slot_layout(H1_STRIPS)
+_EMPTY: frozenset[int] = frozenset()
 
 
-def _classify(g: Graph, anchor: tuple[int, ...], table, buckets) -> None:
-    k = len(anchor)
+def _classify(g: Graph, anchor: tuple[int, ...], layout) -> list:
+    """The partition fields after the anchor, in strip-kind order."""
+    table, spans = layout
+    slots = [0] * len(table)
     anchor_mask = mask_of(anchor)
     for v in range(g.n):
         if (anchor_mask >> v) & 1:
             continue
         profile = 0
         row = g.rows[v]
-        for r in range(k):
-            if (row >> anchor[r]) & 1:
+        for r, a in enumerate(anchor):
+            if (row >> a) & 1:
                 profile |= 1 << r
-        entry = table.get(profile)
-        if entry is None:
+        slot = table.get(profile)
+        if slot is None:
             raise UnclassifiableVertex(v, [anchor[r] for r in bits(profile)])
-        kind, idx = entry
-        buckets[kind][idx].add(v)
+        slots[slot] |= 1 << v
+    # Each strip goes through a set as the planted generator's draws follow
+    # its iteration order, which depends on how the frozenset was built.
+    sets = [frozenset(set(bits(m))) if m else _EMPTY for m in slots]
+    return [sets[a] if b - a == 1 else tuple(sets[a:b]) for a, b in spans]
 
 
 def c5_partition(g: Graph, cycle: Witness | tuple[int, ...]) -> C5Partition:
@@ -134,22 +162,7 @@ def c5_partition(g: Graph, cycle: Witness | tuple[int, ...]) -> C5Partition:
     cyc = tuple(cycle.vertices if isinstance(cycle, Witness) else cycle)
     if not matches_pattern(g, Witness("C5", cyc)):
         raise ValueError(f"{cyc} is not an induced five-cycle in role order")
-    buckets = {
-        "Z": [set()],
-        "R": [set() for _ in range(5)],
-        "Y": [set() for _ in range(5)],
-        "F": [set() for _ in range(5)],
-        "U": [set()],
-    }
-    _classify(g, cyc[:5], _C5_TABLE, buckets)
-    return C5Partition(
-        cycle=cyc,
-        Z=frozenset(buckets["Z"][0]),
-        R=tuple(frozenset(s) for s in buckets["R"]),
-        Y=tuple(frozenset(s) for s in buckets["Y"]),
-        F=tuple(frozenset(s) for s in buckets["F"]),
-        U=frozenset(buckets["U"][0]),
-    )
+    return C5Partition(cyc, *_classify(g, cyc[:5], _C5_LAYOUT))
 
 
 def h1_partition(g: Graph, anchor: Witness | tuple[int, ...]) -> H1Partition:
@@ -157,22 +170,7 @@ def h1_partition(g: Graph, anchor: Witness | tuple[int, ...]) -> H1Partition:
     anc = tuple(anchor.vertices if isinstance(anchor, Witness) else anchor)
     if not matches_pattern(g, Witness("H1", anc)):
         raise ValueError(f"{anc} is not an induced H1 in role order")
-    buckets = {
-        "Z": [set()],
-        "D": [set() for _ in range(6)],
-        "T": [set() for _ in range(6)],
-        "F": [set() for _ in range(6)],
-        "W": [set()],
-    }
-    _classify(g, anc[:6], _H1_TABLE, buckets)
-    return H1Partition(
-        anchor=anc,
-        Z=frozenset(buckets["Z"][0]),
-        D=tuple(frozenset(s) for s in buckets["D"]),
-        T=tuple(frozenset(s) for s in buckets["T"]),
-        F=tuple(frozenset(s) for s in buckets["F"]),
-        W=frozenset(buckets["W"][0]),
-    )
+    return H1Partition(anc, *_classify(g, anc[:6], _H1_LAYOUT))
 
 
 # -- anchor symmetries ---------------------------------------------------------
@@ -201,10 +199,7 @@ def rotate_cycle(cycle: tuple[int, ...], shift: int) -> tuple[int, ...]:
 
 # -- extremal anchor selection ---------------------------------------------------
 
-_H1_TF_PROFILES = tuple(
-    [mask_of(((i - 1) % 6, i, (i + 1) % 6)) for i in range(6)]
-    + [mask_of(((i - 1) % 6, i, (i + 1) % 6, (i + 2) % 6)) for i in range(6)]
-)
+_H1_TF_PROFILES = tuple(mask_of(roles) for roles in H1_STRIPS["T"] + H1_STRIPS["F"])
 
 
 def select_best_h1(g: Graph) -> tuple[Witness, H1Partition] | None:
@@ -294,6 +289,15 @@ class _Report:
         return PropertyReport(tuple(self.checks))
 
 
+def _first_failure(count: int, fn):
+    """First fn(i) over i = 0..count-1 that is not None, else None."""
+    for i in range(count):
+        bad = fn(i)
+        if bad is not None:
+            return bad
+    return None
+
+
 def check_c5_properties(g: Graph, part: C5Partition) -> PropertyReport:
     """Evaluate the thirteen structural properties of a five-cycle partition."""
     rep = _Report()
@@ -302,29 +306,21 @@ def check_c5_properties(g: Graph, part: C5Partition) -> PropertyReport:
     R = [mask_of(s) for s in part.R]
     Y = [mask_of(s) for s in part.Y]
     F = [mask_of(s) for s in part.F]
-
-    def any5(fn):
-        for i in range(5):
-            bad = fn(i)
-            if bad is not None:
-                return bad
-        return None
-
-    rep.add("z_r_independent", any5(lambda i: first_internal_edge(g, Z | R[i])))
+    rep.add("z_r_independent", _first_failure(5, lambda i: first_internal_edge(g, Z | R[i])))
     rep.add(
         "u_y_f_independent",
-        any5(lambda i: first_internal_edge(g, U | Y[i]) or first_internal_edge(g, U | F[i])),
+        _first_failure(5, lambda i: first_internal_edge(g, U | Y[i]) or first_internal_edge(g, U | F[i])),
     )
-    rep.add("r_next_complete", any5(lambda i: first_missing_cross(g, R[i], R[(i + 1) % 5])))
-    rep.add("y_next_complete", any5(lambda i: first_missing_cross(g, Y[i], Y[(i + 1) % 5])))
-    rep.add("r_y_same_complete", any5(lambda i: first_missing_cross(g, R[i], Y[i])))
+    rep.add("r_next_complete", _first_failure(5, lambda i: first_missing_cross(g, R[i], R[(i + 1) % 5])))
+    rep.add("y_next_complete", _first_failure(5, lambda i: first_missing_cross(g, Y[i], Y[(i + 1) % 5])))
+    rep.add("r_y_same_complete", _first_failure(5, lambda i: first_missing_cross(g, R[i], Y[i])))
 
     def cross_exclusion(i):
         e1 = first_cross_edge(g, R[i], Y[(i + 1) % 5])
         e2 = first_cross_edge(g, R[(i + 1) % 5], Y[i])
         return e1 + e2 if e1 and e2 else None
 
-    rep.add("r_y_cross_exclusion", any5(cross_exclusion))
+    rep.add("r_y_cross_exclusion", _first_failure(5, cross_exclusion))
 
     def y_far_choice(i):
         for y in bits(Y[i]):
@@ -334,17 +330,24 @@ def check_c5_properties(g: Graph, part: C5Partition) -> PropertyReport:
                 return (y, (a & -a).bit_length() - 1, (b & -b).bit_length() - 1)
         return None
 
-    rep.add("y_vertex_far_choice", any5(y_far_choice))
+    rep.add("y_vertex_far_choice", _first_failure(5, y_far_choice))
     rep.add(
         "f_y_adjacency",
-        any5(
+        _first_failure(
+            5,
             lambda i: first_missing_cross(g, F[i], Y[(i - 2) % 5] | Y[(i + 2) % 5])
             or first_cross_edge(g, F[i], Y[(i - 1) % 5] | Y[i] | Y[(i + 1) % 5])
         ),
     )
-    rep.add("f_r_complete", any5(lambda i: first_missing_cross(g, F[i], R[(i - 1) % 5] | R[(i + 1) % 5])))
+    rep.add(
+        "f_r_complete",
+        _first_failure(5, lambda i: first_missing_cross(g, F[i], R[(i - 1) % 5] | R[(i + 1) % 5])),
+    )
     if U:
-        rep.add("u_forces_y_far_anticomplete", any5(lambda i: first_cross_edge(g, Y[i], Y[(i + 2) % 5])))
+        rep.add(
+            "u_forces_y_far_anticomplete",
+            _first_failure(5, lambda i: first_cross_edge(g, Y[i], Y[(i + 2) % 5])),
+        )
     else:
         rep.add("u_forces_y_far_anticomplete", None)
 
@@ -352,7 +355,7 @@ def check_c5_properties(g: Graph, part: C5Partition) -> PropertyReport:
         a, b = part.F[i], part.F[(i + 2) % 5]
         return (min(a), min(b)) if a and b else None
 
-    rep.add("f_far_exclusion", any5(f_far))
+    rep.add("f_far_exclusion", _first_failure(5, f_far))
     if find_induced(g, "H1") is None:
 
         def f_forces(i):
@@ -362,7 +365,7 @@ def check_c5_properties(g: Graph, part: C5Partition) -> PropertyReport:
                 g, R[(i - 1) % 5], Y[(i - 2) % 5] | Y[i]
             )
 
-        rep.add("f_forces_r_y_anticomplete", any5(f_forces))
+        rep.add("f_forces_r_y_anticomplete", _first_failure(5, f_forces))
     else:
         rep.add("f_forces_r_y_anticomplete", None)
 
@@ -377,7 +380,7 @@ def check_c5_properties(g: Graph, part: C5Partition) -> PropertyReport:
                 return (r, (dn1 & -dn1).bit_length() - 1, (dn2 & -dn2).bit_length() - 1)
         return None
 
-    rep.add("r_vertex_y_choice", any5(r_y_choice))
+    rep.add("r_vertex_y_choice", _first_failure(5, r_y_choice))
     return rep.done()
 
 
@@ -396,41 +399,23 @@ def check_h1_properties(g: Graph, part: H1Partition) -> PropertyReport:
     D_all = mask_of(set().union(*part.D))
     T_all = mask_of(set().union(*part.T))
     F_all = mask_of(set().union(*part.F))
-
-    def any6(fn):
-        for i in range(6):
-            bad = fn(i)
-            if bad is not None:
-                return bad
-        return None
-
     rep.add("w_z_anticomplete", first_cross_edge(g, W, Z))
 
-    def w_d(i):
-        if i in (0, 3):
-            return first_cross_edge(g, W, D[i])
-        return first_missing_cross(g, W, D[i])
-
-    rep.add("w_d_adjacency", any6(w_d))
-
-    def w_t(i):
-        if i in (2, 5):
-            return first_cross_edge(g, W, T[i])
-        return first_missing_cross(g, W, T[i])
-
-    rep.add("w_t_adjacency", any6(w_t))
-
-    def w_f(i):
-        if i in (0, 3):
-            return first_missing_cross(g, W, F[i])
-        return first_cross_edge(g, W, F[i])
-
-    rep.add("w_f_adjacency", any6(w_f))
+    for kind, masks in (("D", D), ("T", T), ("F", F)):
+        complete = H1_W_COMPLETE[kind]
+        rep.add(
+            f"w_{kind.lower()}_adjacency",
+            _first_failure(
+                6,
+                lambda i: (first_missing_cross if i in complete else first_cross_edge)(g, W, masks[i]),
+            ),
+        )
     rep.add("z_attachment", first_cross_edge(g, Z, D_all | T_all | (F_all & ~F[0] & ~F[3])))
     rep.add("z_empty", (min(part.Z),) if part.Z else None)
     rep.add(
         "d_d_adjacency",
-        any6(
+        _first_failure(
+            6,
             lambda i: first_cross_edge(g, D[i], D[(i + 1) % 6])
             or first_missing_cross(g, D[i], D[(i + 2) % 6])
             or first_cross_edge(g, D[i], D[(i + 3) % 6])
@@ -438,7 +423,8 @@ def check_h1_properties(g: Graph, part: H1Partition) -> PropertyReport:
     )
     rep.add(
         "f_f_adjacency",
-        any6(
+        _first_failure(
+            6,
             lambda i: first_cross_edge(g, F[i], F[(i + 1) % 6])
             or first_missing_cross(g, F[i], F[(i + 2) % 6])
             or first_cross_edge(g, F[i], F[(i + 3) % 6])
@@ -454,7 +440,7 @@ def check_h1_properties(g: Graph, part: H1Partition) -> PropertyReport:
     )
     rep.add(
         "t_opposite_complete",
-        next((e for i in range(3) if (e := first_missing_cross(g, T[i], T[(i + 3) % 6]))), None),
+        _first_failure(3, lambda i: first_missing_cross(g, T[i], T[(i + 3) % 6])),
     )
 
     def d_t(i):
@@ -462,14 +448,14 @@ def check_h1_properties(g: Graph, part: H1Partition) -> PropertyReport:
             g, D[i], T[(i - 1) % 6] | T[i] | T[(i + 1) % 6] | T[(i + 2) % 6]
         ) or first_missing_cross(g, D[i], T[(i + 3) % 6] | T[(i + 4) % 6])
 
-    rep.add("d_t_adjacency", any6(d_t))
+    rep.add("d_t_adjacency", _first_failure(6, d_t))
 
     def f_t(i):
         return first_cross_edge(g, F[i], T[i] | T[(i + 1) % 6]) or first_missing_cross(
             g, F[i], T[(i + 3) % 6] | T[(i + 4) % 6]
         )
 
-    rep.add("f_t_adjacency", any6(f_t))
+    rep.add("f_t_adjacency", _first_failure(6, f_t))
     rep.add(
         "f_t_extra_complete",
         first_missing_cross(g, F[1], T[0])
@@ -478,17 +464,8 @@ def check_h1_properties(g: Graph, part: H1Partition) -> PropertyReport:
         or first_missing_cross(g, F[5], T[1]),
     )
 
-    _DF = {
-        0: ((5, 1), (3,)),
-        3: ((2, 4), (0,)),
-        1: ((0,), (4, 5)),
-        2: ((3,), (4, 5)),
-        5: ((0,), (1, 2)),
-        4: ((3,), (1, 2)),
-    }
-
     def d_f(i):
-        anti, comp = _DF[i]
+        anti, comp = H1_D_F[i]
         for j in anti:
             e = first_cross_edge(g, D[i], F[j])
             if e:
@@ -499,7 +476,7 @@ def check_h1_properties(g: Graph, part: H1Partition) -> PropertyReport:
                 return e
         return None
 
-    rep.add("d_f_adjacency", any6(d_f))
+    rep.add("d_f_adjacency", _first_failure(6, d_f))
 
     # Emptiness / exchange claims tied to the extremal anchor choice.
     rep.add(
@@ -563,17 +540,12 @@ def check_h2_properties(g: Graph, part: C5Partition, apex: int) -> PropertyRepor
     R = [mask_of(s) for s in part.R]
     Y = [mask_of(s) for s in part.Y]
     F5 = mask_of(part.F[4])
-
-    def any5(fn):
-        for i in range(5):
-            bad = fn(i)
-            if bad is not None:
-                return bad
-        return None
-
-    rep.add("u_r_complete", any5(lambda i: first_missing_cross(g, U, R[i])))
+    rep.add("u_r_complete", _first_failure(5, lambda i: first_missing_cross(g, U, R[i])))
     if U:
-        rep.add("u_forces_r_far_anticomplete", any5(lambda i: first_cross_edge(g, R[i], R[(i + 2) % 5])))
+        rep.add(
+            "u_forces_r_far_anticomplete",
+            _first_failure(5, lambda i: first_cross_edge(g, R[i], R[(i + 2) % 5])),
+        )
         return rep.done()
     rep.add("u_forces_r_far_anticomplete", None)
 

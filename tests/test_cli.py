@@ -101,6 +101,15 @@ def test_edge_list_input(tmp_path):
     assert code == 0 and out.splitlines()[0] == "k=4"
 
 
+def test_oversized_header_exits_1(tmp_path):
+    from fourcolor.graph import MAX_N
+
+    f = tmp_path / "huge.edges"
+    f.write_text(f"{MAX_N + 1} 0\n")
+    code, _ = run_cli(["color", "--in", str(f)])
+    assert code == 1
+
+
 def test_malformed_graph_is_usage_error():
     code, _ = run_cli(["color", "--in", "D" + chr(200)])
     assert code == 2

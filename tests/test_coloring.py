@@ -197,6 +197,12 @@ def test_fallback_small_cases():
     assert col.k == 4
 
 
+def test_fallback_search_is_not_bounded_by_recursion_depth():
+    from fourcolor import empty
+
+    assert color_fallback(empty(1100)).k == 1
+
+
 def test_fallback_rejects_five_cycles():
     with pytest.raises(ValueError):
         color_fallback(cycle(5))

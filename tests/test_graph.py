@@ -18,6 +18,7 @@ from fourcolor import (
     parse_graph6,
     path,
 )
+from fourcolor.errors import SizeGuardExceeded
 from fourcolor.lab import petersen
 
 
@@ -145,3 +146,15 @@ def test_edge_list_errors():
         parse_edge_list("2 1\n0 2\n")  # out of range
     with pytest.raises(GraphFormatError):
         parse_edge_list("3 2\n0 1\n0 1\n")  # duplicate edge
+
+
+def test_parsers_refuse_headers_above_the_cap():
+    from fourcolor.graph import MAX_N, _g6_encode_size
+
+    with pytest.raises(SizeGuardExceeded):
+        parse_edge_list(f"{MAX_N + 1} 0\n")
+    with pytest.raises(SizeGuardExceeded):
+        parse_edge_list("10000000000 0\n")
+    with pytest.raises(SizeGuardExceeded):
+        parse_graph6(_g6_encode_size(MAX_N + 1))
+    assert parse_edge_list(f"{MAX_N} 0\n").n == MAX_N

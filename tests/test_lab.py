@@ -155,3 +155,14 @@ def test_manifest_round_trip():
     line = manifest_line(cfg, g)
     records = parse_manifest(line + "\n\n")
     assert records == [(5, 8, "2p2k4free", g)]
+
+
+def test_exact_chromatic_search_is_not_bounded_by_recursion_depth():
+    # Largest-degree-first greedy needs 4 colors on this 8-vertex graph while
+    # its clique number and chromatic number are 3, so the k-coloring search
+    # runs, and it must color all 1108 vertices, one level per vertex.
+    edges = [(0, 1), (0, 7), (1, 3), (1, 5), (1, 6), (2, 7), (3, 4), (3, 6), (4, 6), (4, 7), (5, 6), (6, 7)]
+    g = Graph.from_edges(1108, edges)
+    chi, col = exact_chromatic(g, limit=g.n)
+    assert chi == 3 and col.k == 3
+    assert verify_coloring(g, col) is None
