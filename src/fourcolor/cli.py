@@ -11,6 +11,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from . import suite
 from .approx import approx_color
 from .coloring import Coloring, four_color, verify_coloring
 from .errors import (
@@ -23,13 +24,14 @@ from .errors import (
     SizeGuardExceeded,
     UnclassifiableVertex,
 )
-from .graph import Graph, emit_graph6, parse_edge_list, parse_graph6
+from .graph import Graph, bits, emit_graph6, parse_edge_list, parse_graph6
 from .lab import GeneratorConfig, exact_chromatic, generate, manifest_line, normalize_class
 from .patterns import PATTERNS, certify_class, find_induced
 from .structure import (
     c5_partition,
     check_c5_properties,
     check_h1_properties,
+    mask_of,
     select_best_h1,
 )
 
@@ -39,10 +41,17 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from exc
+
+
 def _load_graph(spec: str) -> Graph:
     """Read a graph from a file path or an inline graph6 token."""
     path = Path(spec)
-    text = path.read_text() if path.exists() else spec
+    text = _read_text(path) if path.exists() else spec
     stripped = text.strip()
     if not stripped:
         raise GraphFormatError("empty graph input")
@@ -54,7 +63,7 @@ def _load_graph(spec: str) -> Graph:
 
 def _load_assignment(path: str, n: int) -> Coloring:
     rows = {}
-    for line in Path(path).read_text().splitlines():
+    for line in _read_text(Path(path)).splitlines():
         line = line.strip()
         if not line:
             continue
@@ -147,14 +156,10 @@ def _cmd_partition(args, out) -> int:
         raise NotInClass(w)
     porcelain = args.porcelain
 
-    def emit_set(name, members):
-        verts = ",".join(map(str, sorted(members))) if porcelain else " ".join(
-            map(str, sorted(members))
-        )
-        if porcelain:
-            print(f"set={name} members={verts}", file=out)
-        else:
-            print(f"{name}: {verts}", file=out)
+    def emit_set(name, mask):
+        verts = [str(v) for v in bits(mask)]
+        line = f"set={name} members={','.join(verts)}" if porcelain else f"{name}: {' '.join(verts)}"
+        print(line, file=out)
 
     if args.anchor == "c5":
         w = find_induced(g, "C5")
@@ -162,7 +167,7 @@ def _cmd_partition(args, out) -> int:
             print("no five-cycle anchor", file=out)
             return EXIT_INVALID
         part = c5_partition(g, w)
-        emit_set("cycle", part.cycle)
+        emit_set("cycle", mask_of(part.cycle))
         emit_set("Z", part.Z)
         for i in range(5):
             emit_set(f"R{i + 1}", part.R[i])
@@ -178,7 +183,7 @@ def _cmd_partition(args, out) -> int:
         print("no ring anchor", file=out)
         return EXIT_INVALID
     _, part = best
-    emit_set("anchor", part.anchor)
+    emit_set("anchor", mask_of(part.anchor))
     emit_set("Z", part.Z)
     for i in range(6):
         emit_set(f"D{i + 1}{(i + 1) % 6 + 1}", part.D[i])
@@ -234,8 +239,6 @@ def _cmd_generate(args, out) -> int:
 
 
 def _cmd_suite(args, out) -> int:
-    from . import suite
-
     results = suite.run(only=args.only, out=out, porcelain=args.porcelain)
     return EXIT_OK if all(r.passed for r in results) else EXIT_INVALID
 
@@ -299,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_generate)
 
     p = sub.add_parser("suite", help="run the acceptance criteria")
-    p.add_argument("--only", nargs="*", help="criterion ids to run (default: all)")
+    ids = [c for c, _, _ in suite.CRITERIA]
+    p.add_argument("--only", nargs="*", choices=ids, help="criterion ids to run (default: all)")
     add_porcelain(p)
     p.set_defaults(fn=_cmd_suite)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import InternalCaseFailure, NotInClass
-from .graph import Graph, bits, connected_components, induced_subgraph
+from .graph import Graph, bits, connected_components, induced_subgraph, lowest
 from .patterns import Witness, certify_class, find_induced
 from .reduction import reduce_to_core, reinsert_colors
 from .structure import (
@@ -28,7 +28,6 @@ from .structure import (
     first_internal_edge,
     first_missing_cross,
     h1_partition,
-    mask_of,
     permute,
     rotate_cycle,
     select_best_h1,
@@ -94,15 +93,13 @@ def verify_coloring(g: Graph, coloring: Coloring) -> tuple[int, int] | None:
 
 
 class _Classes:
-    """Four color classes under construction, with guarded insertion."""
+    """Four color classes under construction, as vertex masks, with guarded
+    insertion."""
 
-    def __init__(self, g: Graph, case: str, parts: Iterable[Iterable[int]]):
+    def __init__(self, g: Graph, case: str, masks: Iterable[int]):
         self.g = g
         self.case = case
-        self.masks = []
-        for part in parts:
-            m = mask_of(part)
-            self.masks.append(m)
+        self.masks = list(masks)
         if len(self.masks) != 4:
             raise InternalCaseFailure(case, f"{len(self.masks)} classes emitted")
 
@@ -115,8 +112,8 @@ class _Classes:
                 return
         raise InternalCaseFailure(self.case, f"vertex {v} fits none of classes {tuple(targets)}", (v,))
 
-    def place_all(self, vertices: Iterable[int], targets: Iterable[int]) -> None:
-        for v in sorted(vertices):
+    def place_all(self, mask: int, targets: Iterable[int]) -> None:
+        for v in bits(mask):
             self.place(v, targets)
 
     def finish(self) -> Coloring:
@@ -125,16 +122,14 @@ class _Classes:
         for i, m in enumerate(self.masks):
             if union & m:
                 dup = union & m
-                raise InternalCaseFailure(case, "classes overlap", ((dup & -dup).bit_length() - 1,))
+                raise InternalCaseFailure(case, "classes overlap", (lowest(dup),))
             union |= m
             edge = first_internal_edge(g, m)
             if edge is not None:
                 raise InternalCaseFailure(case, f"class {i + 1} is not independent", edge)
         if union != (1 << g.n) - 1:
             missing = ~union & ((1 << g.n) - 1)
-            raise InternalCaseFailure(
-                case, "classes do not cover the graph", ((missing & -missing).bit_length() - 1,)
-            )
+            raise InternalCaseFailure(case, "classes do not cover the graph", (lowest(missing),))
         colors = [0] * g.n
         k = 0
         for m in self.masks:
@@ -150,19 +145,22 @@ def _emit(g: Graph, case: str, parts) -> Coloring:
     return _Classes(g, case, parts).finish()
 
 
-def _anti(g: Graph, aset, bset) -> bool:
-    return first_cross_edge(g, mask_of(aset), mask_of(bset)) is None
+def _anti(g: Graph, amask: int, bmask: int) -> bool:
+    return first_cross_edge(g, amask, bmask) is None
 
 
-def _complete_sets(g: Graph, aset, bset) -> bool:
-    return first_missing_cross(g, mask_of(aset), mask_of(bset)) is None
+def _split_by_attachment(g: Graph, vertices: int, bmask: int) -> tuple[int, int]:
+    """(anti-complete part, attached part) of the masked vertices w.r.t. bmask."""
+    clean = 0
+    for v in bits(vertices):
+        if g.rows[v] & bmask == 0:
+            clean |= 1 << v
+    return clean, vertices & ~clean
 
 
-def _split_by_attachment(g: Graph, vertices, bset) -> tuple[set[int], set[int]]:
-    """(anti-complete part, attached part) of vertices w.r.t. the set bset."""
-    bm = mask_of(bset)
-    clean = {v for v in vertices if g.rows[v] & bm == 0}
-    return clean, set(vertices) - clean
+def _singletons(vertices) -> list[int]:
+    """Each vertex as a one-bit mask, so anchor roles join strips with |."""
+    return [1 << v for v in vertices]
 
 
 # -- seven-vertex ring anchor ------------------------------------------------------
@@ -174,8 +172,8 @@ def _h1_normalize(g: Graph, part: H1Partition, preds: list) -> H1Partition:
         if part.D[0]:
             raise InternalCaseFailure("h1/normalize", "both opposite D strips nonempty")
         part = h1_partition(g, permute(part.anchor, H1_AUTOMORPHISMS[1]))
-    t15 = _complete_sets(g, part.T[0], part.T[4])
-    t24 = _complete_sets(g, part.T[1], part.T[3])
+    t15 = first_missing_cross(g, part.T[0], part.T[4]) is None
+    t24 = first_missing_cross(g, part.T[1], part.T[3]) is None
     preds.append(("t15_complete", t15))
     preds.append(("t24_complete", t24))
     if not t15:
@@ -189,7 +187,7 @@ def _h1_normalize(g: Graph, part: H1Partition, preds: list) -> H1Partition:
         ("T[5]", part.T[5]),
     ):
         if bad:
-            raise InternalCaseFailure("h1/normalize", f"{name} not empty", (min(bad),))
+            raise InternalCaseFailure("h1/normalize", f"{name} not empty", (lowest(bad),))
     if (part.D[4] or part.D[5]) and (part.T[1] or part.T[2] or part.T[3]):
         raise InternalCaseFailure("h1/normalize", "side D strips nonempty but middle T strips survive")
     return part
@@ -222,57 +220,57 @@ def color_h1_case(g: Graph, part: H1Partition, trace: CaseTrace | None = None, l
 
 
 def _h1_case_both(g, part, preds, side_d):
-    c, D, T, F, W = part.anchor, part.D, part.T, part.F, part.W
+    c, D, T, F, W = _singletons(part.anchor), part.D, part.T, part.F, part.W
     if F[1] or not (F[5] or F[2] or F[4]):
         return "h1/both/f23", [
-            F[3] | D[1] | D[2] | {c[0]} | T[3],
-            F[1] | D[0] | W | {c[5]} | T[2],
-            F[0] | {c[3], c[4]} | T[1],
-            D[4] | D[5] | {c[1], c[2]},
+            F[3] | D[1] | D[2] | c[0] | T[3],
+            F[1] | D[0] | W | c[5] | T[2],
+            F[0] | c[3] | c[4] | T[1],
+            D[4] | D[5] | c[1] | c[2],
         ]
     if F[5]:
         preds.append(("side_d_nonempty", side_d))
         if side_d:
             return "h1/both/f61/sided", [
-                F[3] | D[4] | D[5] | {c[1]},
-                F[5] | D[0] | W | {c[2]},
-                F[0] | {c[3], c[4]},
-                D[1] | D[2] | {c[0], c[5]},
+                F[3] | D[4] | D[5] | c[1],
+                F[5] | D[0] | W | c[2],
+                F[0] | c[3] | c[4],
+                D[1] | D[2] | c[0] | c[5],
             ]
         return "h1/both/f61/plain", [
-            F[3] | {c[0], c[1]} | T[3],
-            F[5] | D[0] | W | {c[2]},
-            F[0] | {c[3], c[4]} | T[1],
-            D[1] | D[2] | {c[5]} | T[2],
+            F[3] | c[0] | c[1] | T[3],
+            F[5] | D[0] | W | c[2],
+            F[0] | c[3] | c[4] | T[1],
+            D[1] | D[2] | c[5] | T[2],
         ]
     if F[2]:
         clean, attached = _split_by_attachment(g, D[0], F[2])
         return "h1/both/f34", [
-            F[3] | D[1] | D[2] | {c[0]} | T[3],
-            F[2] | clean | W | {c[5]} | T[2],
-            F[0] | attached | {c[3], c[4]} | T[1],
-            D[4] | D[5] | {c[1], c[2]},
+            F[3] | D[1] | D[2] | c[0] | T[3],
+            F[2] | clean | W | c[5] | T[2],
+            F[0] | attached | c[3] | c[4] | T[1],
+            D[4] | D[5] | c[1] | c[2],
         ]
     clean, attached = _split_by_attachment(g, D[0], F[4])
     return "h1/both/f56", [
-        F[3] | D[4] | D[5] | {c[1]},
-        F[4] | clean | W | {c[2]},
-        F[0] | attached | {c[3], c[4]} | T[1],
-        D[1] | D[2] | {c[0], c[5]} | T[2] | T[3],
+        F[3] | D[4] | D[5] | c[1],
+        F[4] | clean | W | c[2],
+        F[0] | attached | c[3] | c[4] | T[1],
+        D[1] | D[2] | c[0] | c[5] | T[2] | T[3],
     ]
 
 
 def _h1_case_neither(g, part, preds, side_d):
-    c, D, T, F, W = part.anchor, part.D, part.T, part.F, part.W
+    c, D, T, F, W = _singletons(part.anchor), part.D, part.T, part.F, part.W
     if not F[5]:
         d56_clean = _anti(g, D[4], F[4])
         preds.append(("d56_f56_anticomplete", d56_clean))
         if d56_clean:
             return "h1/neither/f61empty/a", [
-                F[1] | F[2] | W | {c[5]} | T[2],
-                F[4] | D[4] | {c[1], c[2]},
-                D[0] | D[5] | {c[3], c[4]} | T[1],
-                D[1] | D[2] | {c[0]} | T[3],
+                F[1] | F[2] | W | c[5] | T[2],
+                F[4] | D[4] | c[1] | c[2],
+                D[0] | D[5] | c[3] | c[4] | T[1],
+                D[1] | D[2] | c[0] | T[3],
             ]
         if not _anti(g, D[2], F[2]):
             raise InternalCaseFailure("h1/neither/f61empty", "neither D/F side is anti-complete")
@@ -280,15 +278,15 @@ def _h1_case_neither(g, part, preds, side_d):
         if side_d:
             return "h1/neither/f61empty/b", [
                 F[1] | F[4] | W,
-                F[2] | D[2] | {c[5], c[0]},
-                D[0] | D[1] | {c[3], c[4]},
-                D[4] | D[5] | {c[1], c[2]},
+                F[2] | D[2] | c[5] | c[0],
+                D[0] | D[1] | c[3] | c[4],
+                D[4] | D[5] | c[1] | c[2],
             ]
         return "h1/neither/f61empty/c", [
-            F[1] | D[0] | W | {c[5]} | T[2],
-            F[2] | D[2] | {c[0]} | T[3],
-            F[4] | {c[1], c[2]},
-            D[1] | {c[3], c[4]} | T[1],
+            F[1] | D[0] | W | c[5] | T[2],
+            F[2] | D[2] | c[0] | T[3],
+            F[4] | c[1] | c[2],
+            D[1] | c[3] | c[4] | T[1],
         ]
     if not F[1]:
         d34_clean = _anti(g, D[2], F[2])
@@ -297,61 +295,61 @@ def _h1_case_neither(g, part, preds, side_d):
             preds.append(("side_d_nonempty", side_d))
             if side_d:
                 return "h1/neither/f23empty/a", [
-                    F[5] | F[4] | W | {c[2]},
-                    F[2] | D[2] | {c[5], c[0]},
-                    D[0] | D[1] | {c[3], c[4]},
-                    D[5] | D[4] | {c[1]},
+                    F[5] | F[4] | W | c[2],
+                    F[2] | D[2] | c[5] | c[0],
+                    D[0] | D[1] | c[3] | c[4],
+                    D[5] | D[4] | c[1],
                 ]
             return "h1/neither/f23empty/b", [
-                F[5] | F[4] | W | {c[2]},
-                F[2] | D[2] | {c[5]} | T[2],
-                D[0] | D[1] | {c[3], c[4]} | T[1],
-                {c[0], c[1]} | T[3],
+                F[5] | F[4] | W | c[2],
+                F[2] | D[2] | c[5] | T[2],
+                D[0] | D[1] | c[3] | c[4] | T[1],
+                c[0] | c[1] | T[3],
             ]
         if not _anti(g, D[4], F[4]):
             raise InternalCaseFailure("h1/neither/f23empty", "neither D/F side is anti-complete")
         return "h1/neither/f23empty/c", [
             F[5] | F[2] | W,
-            F[4] | D[4] | {c[1], c[2]},
-            D[0] | D[5] | {c[3], c[4]} | T[1],
-            D[1] | D[2] | {c[5], c[0]} | T[2] | T[3],
+            F[4] | D[4] | c[1] | c[2],
+            D[0] | D[5] | c[3] | c[4] | T[1],
+            D[1] | D[2] | c[5] | c[0] | T[2] | T[3],
         ]
     if not F[4]:
         return "h1/neither/f56empty", [
             F[2] | F[5] | W,
-            F[1] | D[0] | D[1] | {c[4], c[5]} | T[1] | T[2],
-            D[2] | {c[0], c[1]} | T[3],
-            D[4] | D[5] | {c[2], c[3]},
+            F[1] | D[0] | D[1] | c[4] | c[5] | T[1] | T[2],
+            D[2] | c[0] | c[1] | T[3],
+            D[4] | D[5] | c[2] | c[3],
         ]
     if not F[2]:
         preds.append(("side_d_nonempty", side_d))
         if side_d:
             return "h1/neither/f34empty/a", [
                 F[4] | F[1] | W,
-                F[5] | D[0] | D[5] | {c[2], c[3]},
-                D[4] | {c[0], c[1]},
-                D[2] | D[1] | {c[4], c[5]},
+                F[5] | D[0] | D[5] | c[2] | c[3],
+                D[4] | c[0] | c[1],
+                D[2] | D[1] | c[4] | c[5],
             ]
         return "h1/neither/f34empty/b", [
-            F[4] | F[5] | W | {c[2]},
-            F[1] | D[0] | {c[5]} | T[2],
-            D[1] | {c[3], c[4]} | T[1],
-            D[2] | {c[0], c[1]} | T[3],
+            F[4] | F[5] | W | c[2],
+            F[1] | D[0] | c[5] | T[2],
+            D[1] | c[3] | c[4] | T[1],
+            D[2] | c[0] | c[1] | T[3],
         ]
     raise InternalCaseFailure("h1/neither", "all four outer F strips nonempty")
 
 
 def _h1_case_f45_only(g, part, preds, side_d):
-    c, D, T, F, W = part.anchor, part.D, part.T, part.F, part.W
+    c, D, T, F, W = _singletons(part.anchor), part.D, part.T, part.F, part.W
     if not F[4]:
         d61_clean = _anti(g, D[5], F[5])
         preds.append(("d61_f61_anticomplete", d61_clean))
         if d61_clean:
             return "h1/f45/f56empty/a", [
-                F[1] | F[2] | W | {c[5]} | T[2],
-                F[5] | D[0] | D[5] | {c[2], c[3]},
-                F[3] | D[4] | {c[0], c[1]} | T[3],
-                D[1] | D[2] | {c[4]} | T[1],
+                F[1] | F[2] | W | c[5] | T[2],
+                F[5] | D[0] | D[5] | c[2] | c[3],
+                F[3] | D[4] | c[0] | c[1] | T[3],
+                D[1] | D[2] | c[4] | T[1],
             ]
         if not _anti(g, D[1], F[1]):
             raise InternalCaseFailure("h1/f45/f56empty", "neither D/F side is anti-complete")
@@ -359,15 +357,15 @@ def _h1_case_f45_only(g, part, preds, side_d):
         if side_d:
             return "h1/f45/f56empty/b", [
                 F[2] | F[5] | W,
-                F[1] | D[0] | D[1] | {c[4], c[5]},
-                F[3] | D[2] | {c[0], c[1]},
-                D[4] | D[5] | {c[2], c[3]},
+                F[1] | D[0] | D[1] | c[4] | c[5],
+                F[3] | D[2] | c[0] | c[1],
+                D[4] | D[5] | c[2] | c[3],
             ]
         return "h1/f45/f56empty/c", [
-            F[2] | W | {c[5]} | T[2],
-            F[1] | D[0] | D[1] | {c[4]} | T[1],
-            F[3] | D[2] | {c[0], c[1]} | T[3],
-            F[5] | {c[2], c[3]},
+            F[2] | W | c[5] | T[2],
+            F[1] | D[0] | D[1] | c[4] | T[1],
+            F[3] | D[2] | c[0] | c[1] | T[3],
+            F[5] | c[2] | c[3],
         ]
     if not F[2]:
         d23_clean = _anti(g, D[1], F[1])
@@ -376,40 +374,40 @@ def _h1_case_f45_only(g, part, preds, side_d):
             preds.append(("side_d_nonempty", side_d))
             if side_d:
                 return "h1/f45/f34empty/a", [
-                    F[4] | F[5] | W | {c[2]},
-                    F[1] | D[0] | D[1] | {c[4], c[5]},
-                    F[3] | D[2] | {c[0], c[1]},
-                    D[4] | D[5] | {c[3]},
+                    F[4] | F[5] | W | c[2],
+                    F[1] | D[0] | D[1] | c[4] | c[5],
+                    F[3] | D[2] | c[0] | c[1],
+                    D[4] | D[5] | c[3],
                 ]
             return "h1/f45/f34empty/b", [
-                F[4] | F[5] | W | {c[2]},
-                F[1] | D[0] | D[1] | {c[5]} | T[2],
-                F[3] | D[2] | {c[0], c[1]} | T[3],
-                {c[3], c[4]} | T[1],
+                F[4] | F[5] | W | c[2],
+                F[1] | D[0] | D[1] | c[5] | T[2],
+                F[3] | D[2] | c[0] | c[1] | T[3],
+                c[3] | c[4] | T[1],
             ]
         if not _anti(g, D[5], F[5]):
             raise InternalCaseFailure("h1/f45/f34empty", "neither D/F side is anti-complete")
         return "h1/f45/f34empty/c", [
             F[4] | F[1] | W,
-            F[5] | D[0] | D[5] | {c[2], c[3]},
-            F[3] | D[4] | {c[0], c[1]} | T[3],
-            D[1] | D[2] | {c[4], c[5]} | T[1] | T[2],
+            F[5] | D[0] | D[5] | c[2] | c[3],
+            F[3] | D[4] | c[0] | c[1] | T[3],
+            D[1] | D[2] | c[4] | c[5] | T[1] | T[2],
         ]
     raise InternalCaseFailure("h1/f45", "neither adjacent outer F strip is empty")
 
 
 def _h1_case_f12_only(g, part, preds, side_d):
-    c, D, T, F, W = part.anchor, part.D, part.T, part.F, part.W
+    c, D, T, F, W = _singletons(part.anchor), part.D, part.T, part.F, part.W
     if not F[5]:
         f34 = bool(F[2])
         f56 = bool(F[4])
         preds += [("f34_nonempty", f34), ("f56_nonempty", f56)]
         if f34 and f56:
             base = [
-                F[1] | D[0] | W | {c[5]} | T[2],
-                F[2] | D[2] | {c[0]} | T[3],
-                F[4] | D[4] | {c[1], c[2]},
-                F[0] | {c[3], c[4]} | T[1],
+                F[1] | D[0] | W | c[5] | T[2],
+                F[2] | D[2] | c[0] | T[3],
+                F[4] | D[4] | c[1] | c[2],
+                F[0] | c[3] | c[4] | T[1],
             ]
             if _anti(g, D[1], F[2]):
                 base[1] |= D[1]
@@ -423,16 +421,16 @@ def _h1_case_f12_only(g, part, preds, side_d):
         clean, attached = _split_by_attachment(g, D[0], F[0])
         if not f56:
             return "h1/f12/f61empty/c", [
-                F[0] | clean | {c[3], c[4]} | T[1],
-                F[1] | F[2] | attached | W | {c[5]} | T[2],
-                D[1] | D[2] | {c[0]} | T[3],
-                D[4] | D[5] | {c[1], c[2]},
+                F[0] | clean | c[3] | c[4] | T[1],
+                F[1] | F[2] | attached | W | c[5] | T[2],
+                D[1] | D[2] | c[0] | T[3],
+                D[4] | D[5] | c[1] | c[2],
             ]
         return "h1/f12/f61empty/d", [
-            F[0] | D[1] | clean | {c[3], c[4]} | T[1],
+            F[0] | D[1] | clean | c[3] | c[4] | T[1],
             F[1] | F[4] | attached | W,
-            D[2] | {c[5], c[0]} | T[2] | T[3],
-            D[4] | D[5] | {c[1], c[2]},
+            D[2] | c[5] | c[0] | T[2] | T[3],
+            D[4] | D[5] | c[1] | c[2],
         ]
     if not F[1]:
         f34 = bool(F[2])
@@ -440,10 +438,10 @@ def _h1_case_f12_only(g, part, preds, side_d):
         preds += [("f34_nonempty", f34), ("f56_nonempty", f56)]
         if f34 and f56:
             base = [
-                F[5] | D[0] | W | {c[2]},
-                F[4] | D[4] | {c[1]},
-                F[2] | D[2] | {c[5], c[0]} | T[2] | T[3],
-                F[0] | {c[3], c[4]} | T[1],
+                F[5] | D[0] | W | c[2],
+                F[4] | D[4] | c[1],
+                F[2] | D[2] | c[5] | c[0] | T[2] | T[3],
+                F[0] | c[3] | c[4] | T[1],
             ]
             if _anti(g, D[1], F[2]):
                 base[2] |= D[1]
@@ -457,24 +455,24 @@ def _h1_case_f12_only(g, part, preds, side_d):
         clean, attached = _split_by_attachment(g, D[0], F[0])
         if f56:
             return "h1/f12/f23empty/c", [
-                F[0] | clean | {c[3], c[4]} | T[1],
-                F[5] | F[4] | attached | W | {c[2]},
-                D[5] | D[4] | {c[1]},
-                D[1] | D[2] | {c[5], c[0]} | T[2] | T[3],
+                F[0] | clean | c[3] | c[4] | T[1],
+                F[5] | F[4] | attached | W | c[2],
+                D[5] | D[4] | c[1],
+                D[1] | D[2] | c[5] | c[0] | T[2] | T[3],
             ]
         preds.append(("side_d_nonempty", side_d))
         if side_d:
             return "h1/f12/f23empty/d", [
-                F[0] | D[5] | clean | {c[3], c[4]},
+                F[0] | D[5] | clean | c[3] | c[4],
                 F[5] | F[2] | attached | W,
-                D[4] | {c[1], c[2]},
-                D[1] | D[2] | {c[5], c[0]},
+                D[4] | c[1] | c[2],
+                D[1] | D[2] | c[5] | c[0],
             ]
         return "h1/f12/f23empty/e", [
-            F[0] | D[1] | clean | {c[3], c[4]} | T[1],
-            F[2] | attached | W | {c[5]} | T[2],
-            F[5] | {c[2]},
-            D[2] | {c[0], c[1]} | T[3],
+            F[0] | D[1] | clean | c[3] | c[4] | T[1],
+            F[2] | attached | W | c[5] | T[2],
+            F[5] | c[2],
+            D[2] | c[0] | c[1] | T[3],
         ]
     raise InternalCaseFailure("h1/f12", "neither adjacent outer F strip is empty")
 
@@ -482,26 +480,23 @@ def _h1_case_f12_only(g, part, preds, side_d):
 # -- apex anchor ---------------------------------------------------------------------
 
 
-def _h2_strips(g: Graph, cyc: tuple[int, ...], apex: int):
-    """The partition on cyc and its R strips split by the apex: (part, R', R'')."""
-    part = c5_partition(g, cyc)
+def _h2_strips(g: Graph, part: C5Partition, apex: int):
+    """(part, R', R''): part with its R strips split by the apex."""
     frow = g.rows[apex]
-    Rp = [set(v for v in part.R[i] if (frow >> v) & 1) for i in range(5)]
-    Rpp = [set(part.R[i]) - Rp[i] for i in range(5)]
-    return part, Rp, Rpp
+    return part, [r & frow for r in part.R], [r & ~frow for r in part.R]
 
 
 def _h2_mirrored(g: Graph, part: C5Partition, apex: int):
     """_h2_strips on the reflected cycle, which swaps the two near R strips."""
-    return _h2_strips(g, permute(part.cycle, H2_CYCLE_REFLECTION), apex)
+    return _h2_strips(g, c5_partition(g, permute(part.cycle, H2_CYCLE_REFLECTION)), apex)
 
 
-def _h2_body(g: Graph, cyc: tuple[int, ...], apex: int, preds: list) -> _Classes:
-    part, Rp, Rpp = _h2_strips(g, cyc, apex)
-    c, R, Y, F, Z, U = part.cycle, part.R, part.Y, part.F, part.Z, part.U
+def _h2_body(g: Graph, part: C5Partition, apex: int, preds: list) -> _Classes:
+    part, Rp, Rpp = _h2_strips(g, part, apex)
+    c, R, Y, F, Z, U = _singletons(part.cycle), part.R, part.Y, part.F, part.Z, part.U
     for i in range(4):
         if F[i]:
-            raise InternalCaseFailure("h2/setup", f"side apex strip F[{i}] not empty", (min(F[i]),))
+            raise InternalCaseFailure("h2/setup", f"side apex strip F[{i}] not empty", (lowest(F[i]),))
     if U:
         preds.append(("u_nonempty", True))
         if _anti(g, Y[2], R[1]):
@@ -511,9 +506,9 @@ def _h2_body(g: Graph, cyc: tuple[int, ...], apex: int, preds: list) -> _Classes
                 "h2/hubbed/a",
                 [
                     Y[0] | Y[3] | U | F[4],
-                    Y[1] | Y[4] | R[0] | {c[0]},
-                    Y[2] | R[1] | R[3] | {c[1], c[3]},
-                    R[2] | R[4] | Z | {c[2], c[4]},
+                    Y[1] | Y[4] | R[0] | c[0],
+                    Y[2] | R[1] | R[3] | c[1] | c[3],
+                    R[2] | R[4] | Z | c[2] | c[4],
                 ],
             )
         preds.append(("y3_r2_anticomplete", False))
@@ -524,14 +519,14 @@ def _h2_body(g: Graph, cyc: tuple[int, ...], apex: int, preds: list) -> _Classes
             "h2/hubbed/b",
             [
                 Y[0] | Y[3] | U | F[4],
-                Y[2] | Y[4] | R[3] | {c[3]},
-                Y[1] | R[0] | R[2] | {c[0], c[2]},
-                R[1] | R[4] | Z | {c[1], c[4]},
+                Y[2] | Y[4] | R[3] | c[3],
+                Y[1] | R[0] | R[2] | c[0] | c[2],
+                R[1] | R[4] | Z | c[1] | c[4],
             ],
         )
     preds.append(("u_nonempty", False))
-    if F[4] != frozenset({apex}):
-        raise InternalCaseFailure("h2/setup", "apex strip is not a singleton", tuple(sorted(F[4])))
+    if F[4] != 1 << apex:
+        raise InternalCaseFailure("h2/setup", "apex strip is not a singleton", tuple(bits(F[4])))
     if Rpp[1] and Rpp[2]:
         raise InternalCaseFailure("h2/setup", "both detached R strips nonempty")
 
@@ -546,7 +541,7 @@ def color_h2_case(
     """4-coloring when a best apex anchor exists (ring-anchor-free graph)."""
     apex = witness.vertices[5]
     preds: list[tuple[str, bool]] = []
-    classes = _h2_body(g, part.cycle, apex, preds)
+    classes = _h2_body(g, part, apex, preds)
     if trace is not None:
         trace.add("h2", classes.case, preds, part.cycle + (apex,), label)
     return classes.finish()
@@ -556,20 +551,19 @@ def _h2_fit_z(g, part, y4, cls: _Classes, alone: int, spread: tuple[int, ...], p
     """Place Z into cls: all into class `alone` when Z misses Y[2], else first
     fit over `spread`; False, placing nothing, when some z sees Y[2], y4 and
     Y[4] and the caller must rebuild its classes."""
-    Y, zmask = part.Y, mask_of(part.Z)
-    if first_cross_edge(g, zmask, mask_of(Y[2])) is None:
+    Y, Z = part.Y, part.Z
+    if first_cross_edge(g, Z, Y[2]) is None:
         preds.append(("z_y3_anticomplete", True))
-        cls.place_all(part.Z, (alone,))
+        cls.place_all(Z, (alone,))
         return True
     preds.append(("z_y3_anticomplete", False))
     if Y[1]:
-        raise InternalCaseFailure(cls.case, "middle Y strip should be empty", (min(Y[1]),))
-    y3m, y4m, y5m = mask_of(Y[2]), mask_of(y4), mask_of(Y[4])
-    stuck = [z for z in bits(zmask) if g.rows[z] & y3m and g.rows[z] & y4m and g.rows[z] & y5m]
-    preds.append(("z_sees_three_y", bool(stuck)))
+        raise InternalCaseFailure(cls.case, "middle Y strip should be empty", (lowest(Y[1]),))
+    stuck = any(g.rows[z] & Y[2] and g.rows[z] & y4 and g.rows[z] & Y[4] for z in bits(Z))
+    preds.append(("z_sees_three_y", stuck))
     if stuck:
         return False
-    cls.place_all(part.Z, spread)
+    cls.place_all(Z, spread)
     return True
 
 
@@ -580,54 +574,55 @@ def _h2_case_no_apex_r5(g, part, apex, Rp, Rpp, preds):
         part, Rp, Rpp = _h2_mirrored(g, part, apex)
         if Rpp[1]:
             raise InternalCaseFailure("h2/apexfree", "detached strip survives mirroring")
-    c, R, Y, Z = part.cycle, part.R, part.Y, part.Z
+    c, R, Y, Z, a = _singletons(part.cycle), part.R, part.Y, part.Z, 1 << apex
     y2_clean, y2_attached = _split_by_attachment(g, Y[1], Y[4])
     cls = _Classes(
         g,
         "h2/apexfree",
         [
-            y2_clean | Y[4] | R[0] | {c[0]},
-            y2_attached | Y[3] | {c[2]},
-            R[1] | R[3] | Y[2] | {c[1], c[3]},
-            Y[0] | R[4] | {apex, c[4]},
+            y2_clean | Y[4] | R[0] | c[0],
+            y2_attached | Y[3] | c[2],
+            R[1] | R[3] | Y[2] | c[1] | c[3],
+            Y[0] | R[4] | a | c[4],
         ],
     )
-    for r in sorted(R[2]):
-        cls.place(r, (0, 1) if r in Rp[2] else (1, 3))
+    for r in bits(R[2]):
+        cls.place(r, (0, 1) if (Rp[2] >> r) & 1 else (1, 3))
     if _h2_fit_z(g, part, Y[3], cls, 2, (0, 1, 2), preds):
         return cls
     return _Classes(
         g,
         "h2/apexfree/rebuilt",
         [
-            Y[0] | R[4] | Y[3] | {apex, c[4]},
-            Y[2] | R[1] | {c[1]},
-            R[0] | R[3] | Y[4] | {c[0], c[3]},
-            R[2] | Z | {c[2]},
+            Y[0] | R[4] | Y[3] | a | c[4],
+            Y[2] | R[1] | c[1],
+            R[0] | R[3] | Y[4] | c[0] | c[3],
+            R[2] | Z | c[2],
         ],
     )
 
 
 def _h2_case_apex_r5(g, part, apex, Rp, Rpp, preds):
     preds.append(("apex_sees_r5", True))
-    edge = first_cross_edge(g, mask_of(Rpp[1]), mask_of(part.Y[2]))
-    if edge is None and first_cross_edge(g, mask_of(Rpp[2]), mask_of(part.Y[1])) is not None:
+    edge = first_cross_edge(g, Rpp[1], part.Y[2])
+    if edge is None and first_cross_edge(g, Rpp[2], part.Y[1]) is not None:
         part, Rp, Rpp = _h2_mirrored(g, part, apex)
-        edge = first_cross_edge(g, mask_of(Rpp[1]), mask_of(part.Y[2]))
+        edge = first_cross_edge(g, Rpp[1], part.Y[2])
         if edge is None:
             raise InternalCaseFailure("h2/apexed", "mirrored attachment edge vanished")
     preds.append(("rpp2_y3_attached", edge is not None))
 
+    a = 1 << apex
     if edge is not None:
-        c, R, Y, Z = part.cycle, part.R, part.Y, part.Z
+        c, R, Y, Z = _singletons(part.cycle), part.R, part.Y, part.Z
         cls = _Classes(
             g,
             "h2/apexed/attached",
             [
-                R[3] | Y[4] | R[0] | {c[0], c[3]},
-                Y[0] | Rpp[4] | Y[3] | {apex, c[4]},
-                R[2] | Y[1] | {c[2]},
-                Y[2] | Rp[1] | Rp[4] | {c[1]},
+                R[3] | Y[4] | R[0] | c[0] | c[3],
+                Y[0] | Rpp[4] | Y[3] | a | c[4],
+                R[2] | Y[1] | c[2],
+                Y[2] | Rp[1] | Rp[4] | c[1],
             ],
         )
         cls.place_all(Z, (2, 3))
@@ -639,16 +634,16 @@ def _h2_case_apex_r5(g, part, apex, Rp, Rpp, preds):
         part, Rp, Rpp = _h2_mirrored(g, part, apex)
         if Rpp[1]:
             raise InternalCaseFailure("h2/apexed", "detached strip survives mirroring")
-    c, R, Y, Z = part.cycle, part.R, part.Y, part.Z
+    c, R, Y, Z = _singletons(part.cycle), part.R, part.Y, part.Z
     y4_clean, y4_attached = _split_by_attachment(g, Y[3], Y[0])
     cls = _Classes(
         g,
         "h2/apexed/detached",
         [
-            R[3] | Y[4] | R[0] | {c[0], c[3]},
-            Y[0] | Rpp[4] | y4_clean | {apex, c[4]},
-            R[2] | Y[1] | y4_attached | {c[2]},
-            Y[2] | Rp[1] | Rp[4] | {c[1]},
+            R[3] | Y[4] | R[0] | c[0] | c[3],
+            Y[0] | Rpp[4] | y4_clean | a | c[4],
+            R[2] | Y[1] | y4_attached | c[2],
+            Y[2] | Rp[1] | Rp[4] | c[1],
         ],
     )
     if _h2_fit_z(g, part, y4_attached, cls, 3, (0, 2, 3), preds):
@@ -657,10 +652,10 @@ def _h2_case_apex_r5(g, part, apex, Rp, Rpp, preds):
         g,
         "h2/apexed/rebuilt",
         [
-            R[3] | Y[4] | R[0] | {c[0], c[3]},
-            Y[0] | Rpp[4] | Y[3] | {apex, c[4]},
-            R[2] | Z | {c[2]},
-            Y[2] | Rp[1] | Rp[4] | {c[1]},
+            R[3] | Y[4] | R[0] | c[0] | c[3],
+            Y[0] | Rpp[4] | Y[3] | a | c[4],
+            R[2] | Z | c[2],
+            Y[2] | Rp[1] | Rp[4] | c[1],
         ],
     )
 
@@ -670,21 +665,21 @@ def _h2_case_apex_r5(g, part, apex, Rp, Rpp, preds):
 
 def color_w5_case(g: Graph, part: C5Partition, trace: CaseTrace | None = None, label=None) -> Coloring:
     """4-coloring when a hub vertex is complete to a five-cycle."""
-    c, R, Y, F, Z, U = part.cycle, part.R, part.Y, part.F, part.Z, part.U
+    c, R, Y, F, Z, U = _singletons(part.cycle), part.R, part.Y, part.F, part.Z, part.U
     if not U:
         raise InternalCaseFailure("w5/setup", "no hub vertex in the partition")
     for i in range(5):
         if F[i]:
-            raise InternalCaseFailure("w5/setup", f"apex strip F[{i}] not empty", (min(F[i]),))
+            raise InternalCaseFailure("w5/setup", f"apex strip F[{i}] not empty", (lowest(F[i]),))
     if trace is not None:
-        trace.add("w5", "w5/hub", [], part.cycle + (min(U),), label)
+        trace.add("w5", "w5/hub", [], part.cycle + (lowest(U),), label)
     return _emit(
         g,
         "w5/hub",
         [
-            R[0] | R[2] | Z | {c[0], c[2]},
-            R[1] | Y[2] | R[3] | {c[1], c[3]},
-            Y[0] | R[4] | Y[3] | {c[4]},
+            R[0] | R[2] | Z | c[0] | c[2],
+            R[1] | Y[2] | R[3] | c[1] | c[3],
+            Y[0] | R[4] | Y[3] | c[4],
             Y[1] | Y[4] | U,
         ],
     )
@@ -697,15 +692,14 @@ def color_c5_case(g: Graph, part: C5Partition, trace: CaseTrace | None = None, l
     """4-coloring when only a bare five-cycle anchor is available."""
     preds: list[tuple[str, bool]] = []
     if part.U:
-        raise InternalCaseFailure("c5/setup", "hub vertex present", (min(part.U),))
+        raise InternalCaseFailure("c5/setup", "hub vertex present", (lowest(part.U),))
     for i in range(5):
         if part.F[i]:
-            raise InternalCaseFailure("c5/setup", f"apex strip F[{i}] not empty", (min(part.F[i]),))
+            raise InternalCaseFailure("c5/setup", f"apex strip F[{i}] not empty", (lowest(part.F[i]),))
 
-    ymasks = [mask_of(part.Y[i]) for i in range(5)]
     missing = None
-    for z in sorted(part.Z):
-        hit = [i for i in range(5) if g.rows[z] & ymasks[i]]
+    for z in bits(part.Z):
+        hit = [i for i in range(5) if g.rows[z] & part.Y[i]]
         if len(hit) == 5:
             raise InternalCaseFailure("c5/setup", f"vertex {z} reaches all five Y strips", (z,))
         if len(hit) == 4:
@@ -720,23 +714,22 @@ def color_c5_case(g: Graph, part: C5Partition, trace: CaseTrace | None = None, l
         case = "c5/crowded"
         part = c5_partition(g, rotate_cycle(part.cycle, (missing + 1) % 5))
         if part.Y[4]:
-            raise InternalCaseFailure(case, "rotated far Y strip not empty", (min(part.Y[4]),))
-    c, R, Y, Z = part.cycle, part.R, part.Y, part.Z
+            raise InternalCaseFailure(case, "rotated far Y strip not empty", (lowest(part.Y[4]),))
+    c, R, Y, Z = _singletons(part.cycle), part.R, part.Y, part.Z
     y4_clean, y4_attached = _split_by_attachment(g, Y[3], Y[0])
     r4_clean, r4_attached = _split_by_attachment(g, R[3], R[0])
     cls = _Classes(
         g,
         case,
         [
-            Y[0] | R[4] | y4_clean | {c[4]},
-            Y[1] | R[2] | y4_attached | {c[2]},
-            R[0] | Y[4] | r4_clean | {c[0]},
-            R[1] | Y[2] | r4_attached | {c[1], c[3]},
+            Y[0] | R[4] | y4_clean | c[4],
+            Y[1] | R[2] | y4_attached | c[2],
+            R[0] | Y[4] | r4_clean | c[0],
+            R[1] | Y[2] | r4_attached | c[1] | c[3],
         ],
     )
-    y3m, y5m = mask_of(Y[2]), mask_of(Y[4])
-    for z in sorted(Z):
-        if g.rows[z] & y3m == 0 or g.rows[z] & y5m == 0:
+    for z in bits(Z):
+        if g.rows[z] & Y[2] == 0 or g.rows[z] & Y[4] == 0:
             cls.place(z, (2, 3))
         else:
             cls.place(z, (0, 1))

@@ -29,6 +29,11 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def lowest(mask: int) -> int:
+    """The lowest set bit position of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
 class Graph:
     """Simple undirected graph on vertices 0..n-1, immutable after construction."""
 

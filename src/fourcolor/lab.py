@@ -420,10 +420,13 @@ def _planted(rng: random.Random, n: int, p: float, forbidden, anchor_name: str) 
         else:
             part = c5_partition(graph, tuple(range(5)))
             strips = [("R", part.R), ("Y", part.Y), ("F", part.F), ("U", (part.U,)), ("Z", (part.Z,))]
+        # The coin flips below follow where's order, which is each strip's
+        # iteration order as a frozenset built through a set; keeping that
+        # order keeps every planted graph as it was.
         where = {}
         for kind, groups in strips:
-            for idx, members in enumerate(groups):
-                for v in members:
+            for idx, mask in enumerate(groups):
+                for v in frozenset(set(bits(mask))):
                     where[v] = (kind, idx)
         return where
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import UnclassifiableVertex
-from .graph import Graph, bits
+from .graph import Graph, bits, lowest
 from .patterns import Witness, enumerate_induced, find_induced, matches_pattern
 
 
@@ -27,7 +27,7 @@ def first_internal_edge(g: Graph, mask: int) -> tuple[int, int] | None:
     for u in bits(mask):
         hit = g.rows[u] & mask & ~((1 << (u + 1)) - 1)
         if hit:
-            return u, (hit & -hit).bit_length() - 1
+            return u, lowest(hit)
     return None
 
 
@@ -36,7 +36,7 @@ def first_cross_edge(g: Graph, amask: int, bmask: int) -> tuple[int, int] | None
     for a in bits(amask):
         hit = g.rows[a] & bmask
         if hit:
-            return a, (hit & -hit).bit_length() - 1
+            return a, lowest(hit)
     return None
 
 
@@ -45,11 +45,13 @@ def first_missing_cross(g: Graph, amask: int, bmask: int) -> tuple[int, int] | N
     for a in bits(amask):
         missing = bmask & ~g.rows[a]
         if missing:
-            return a, (missing & -missing).bit_length() - 1
+            return a, lowest(missing)
     return None
 
 
 # -- partitions ----------------------------------------------------------------
+#
+# Every strip is a vertex bitmask, the same form as Graph.rows.
 
 
 @dataclass(frozen=True)
@@ -57,11 +59,11 @@ class C5Partition:
     """Decomposition of a graph around a distinguished induced five-cycle."""
 
     cycle: tuple[int, ...]
-    Z: frozenset[int]
-    R: tuple[frozenset[int], ...]  # R[i]: cycle neighborhood {i-1, i+1}
-    Y: tuple[frozenset[int], ...]  # Y[i]: cycle neighborhood {i-2, i, i+2}
-    F: tuple[frozenset[int], ...]  # F[i]: all cycle vertices except i
-    U: frozenset[int]              # complete to the cycle
+    Z: int
+    R: tuple[int, ...]  # R[i]: cycle neighborhood {i-1, i+1}
+    Y: tuple[int, ...]  # Y[i]: cycle neighborhood {i-2, i, i+2}
+    F: tuple[int, ...]  # F[i]: all cycle vertices except i
+    U: int              # complete to the cycle
 
 
 @dataclass(frozen=True)
@@ -72,17 +74,17 @@ class H1Partition:
     ring neighborhood.
     """
 
-    anchor: tuple[int, ...]        # ring roles 0..5 then the hub
-    Z: frozenset[int]
-    D: tuple[frozenset[int], ...]  # D[i]: ring neighborhood {i, i+1}
-    T: tuple[frozenset[int], ...]  # T[i]: {i-1, i, i+1}
-    F: tuple[frozenset[int], ...]  # F[i]: {i-1, i, i+1, i+2}
-    W: frozenset[int]              # ring neighborhood {0, 1, 3, 4}
+    anchor: tuple[int, ...]  # ring roles 0..5 then the hub
+    Z: int
+    D: tuple[int, ...]       # D[i]: ring neighborhood {i, i+1}
+    T: tuple[int, ...]       # T[i]: {i-1, i, i+1}
+    F: tuple[int, ...]       # F[i]: {i-1, i, i+1, i+2}
+    W: int                   # ring neighborhood {0, 1, 3, 4}
 
 
 # Each strip is defined by the anchor roles its vertices see: kind -> one tuple
 # of roles per index. Kinds are listed in partition-field order, and a kind
-# with a single strip (Z, U, W) is a plain set in the partition.
+# with a single strip (Z, U, W) is a plain mask in the partition.
 C5_STRIPS: dict[str, tuple[tuple[int, ...], ...]] = {
     "Z": ((),),
     "R": tuple(((i - 1) % 5, (i + 1) % 5) for i in range(5)),
@@ -127,7 +129,6 @@ def _slot_layout(strips) -> tuple[dict[int, int], tuple[tuple[int, int], ...]]:
 
 _C5_LAYOUT = _slot_layout(C5_STRIPS)
 _H1_LAYOUT = _slot_layout(H1_STRIPS)
-_EMPTY: frozenset[int] = frozenset()
 
 
 def _classify(g: Graph, anchor: tuple[int, ...], layout) -> list:
@@ -147,10 +148,7 @@ def _classify(g: Graph, anchor: tuple[int, ...], layout) -> list:
         if slot is None:
             raise UnclassifiableVertex(v, [anchor[r] for r in bits(profile)])
         slots[slot] |= 1 << v
-    # Each strip goes through a set as the planted generator's draws follow
-    # its iteration order, which depends on how the frozenset was built.
-    sets = [frozenset(set(bits(m))) if m else _EMPTY for m in slots]
-    return [sets[a] if b - a == 1 else tuple(sets[a:b]) for a, b in spans]
+    return [slots[a] if b - a == 1 else tuple(slots[a:b]) for a, b in spans]
 
 
 def c5_partition(g: Graph, cycle: Witness | tuple[int, ...]) -> C5Partition:
@@ -301,11 +299,7 @@ def _first_failure(count: int, fn):
 def check_c5_properties(g: Graph, part: C5Partition) -> PropertyReport:
     """Evaluate the thirteen structural properties of a five-cycle partition."""
     rep = _Report()
-    Z = mask_of(part.Z)
-    U = mask_of(part.U)
-    R = [mask_of(s) for s in part.R]
-    Y = [mask_of(s) for s in part.Y]
-    F = [mask_of(s) for s in part.F]
+    Z, U, R, Y, F = part.Z, part.U, part.R, part.Y, part.F
     rep.add("z_r_independent", _first_failure(5, lambda i: first_internal_edge(g, Z | R[i])))
     rep.add(
         "u_y_f_independent",
@@ -327,7 +321,7 @@ def check_c5_properties(g: Graph, part: C5Partition) -> PropertyReport:
             a = g.rows[y] & Y[(i - 2) % 5]
             b = g.rows[y] & Y[(i + 2) % 5]
             if a and b:
-                return (y, (a & -a).bit_length() - 1, (b & -b).bit_length() - 1)
+                return (y, lowest(a), lowest(b))
         return None
 
     rep.add("y_vertex_far_choice", _first_failure(5, y_far_choice))
@@ -352,8 +346,8 @@ def check_c5_properties(g: Graph, part: C5Partition) -> PropertyReport:
         rep.add("u_forces_y_far_anticomplete", None)
 
     def f_far(i):
-        a, b = part.F[i], part.F[(i + 2) % 5]
-        return (min(a), min(b)) if a and b else None
+        a, b = F[i], F[(i + 2) % 5]
+        return (lowest(a), lowest(b)) if a and b else None
 
     rep.add("f_far_exclusion", _first_failure(5, f_far))
     if find_induced(g, "H1") is None:
@@ -374,10 +368,10 @@ def check_c5_properties(g: Graph, part: C5Partition) -> PropertyReport:
             row = g.rows[r]
             up1, up2 = row & Y[(i + 1) % 5], row & Y[(i + 2) % 5]
             if up1 and up2:
-                return (r, (up1 & -up1).bit_length() - 1, (up2 & -up2).bit_length() - 1)
+                return (r, lowest(up1), lowest(up2))
             dn1, dn2 = row & Y[(i - 1) % 5], row & Y[(i - 2) % 5]
             if dn1 and dn2:
-                return (r, (dn1 & -dn1).bit_length() - 1, (dn2 & -dn2).bit_length() - 1)
+                return (r, lowest(dn1), lowest(dn2))
         return None
 
     rep.add("r_vertex_y_choice", _first_failure(5, r_y_choice))
@@ -391,14 +385,7 @@ def check_h1_properties(g: Graph, part: H1Partition) -> PropertyReport:
     select_best_h1 on a connected core with no comparable pair.
     """
     rep = _Report()
-    Z = mask_of(part.Z)
-    W = mask_of(part.W)
-    D = [mask_of(s) for s in part.D]
-    T = [mask_of(s) for s in part.T]
-    F = [mask_of(s) for s in part.F]
-    D_all = mask_of(set().union(*part.D))
-    T_all = mask_of(set().union(*part.T))
-    F_all = mask_of(set().union(*part.F))
+    Z, W, D, T, F = part.Z, part.W, part.D, part.T, part.F
     rep.add("w_z_anticomplete", first_cross_edge(g, W, Z))
 
     for kind, masks in (("D", D), ("T", T), ("F", F)):
@@ -410,8 +397,11 @@ def check_h1_properties(g: Graph, part: H1Partition) -> PropertyReport:
                 lambda i: (first_missing_cross if i in complete else first_cross_edge)(g, W, masks[i]),
             ),
         )
-    rep.add("z_attachment", first_cross_edge(g, Z, D_all | T_all | (F_all & ~F[0] & ~F[3])))
-    rep.add("z_empty", (min(part.Z),) if part.Z else None)
+    attached = 0
+    for m in D + T + F[1:3] + F[4:]:
+        attached |= m
+    rep.add("z_attachment", first_cross_edge(g, Z, attached))
+    rep.add("z_empty", (lowest(Z),) if Z else None)
     rep.add(
         "d_d_adjacency",
         _first_failure(
@@ -481,13 +471,13 @@ def check_h1_properties(g: Graph, part: H1Partition) -> PropertyReport:
     # Emptiness / exchange claims tied to the extremal anchor choice.
     rep.add(
         "claim_d_opposite_empty",
-        (min(part.D[0]), min(part.D[3])) if part.D[0] and part.D[3] else None,
+        (lowest(D[0]), lowest(D[3])) if D[0] and D[3] else None,
     )
 
     def nonneighbor_exchange():
         for a, b in ((0, 4), (4, 0), (1, 3), (3, 1)):
             for t in bits(T[a]):
-                if part.T[b] and T[b] & ~g.rows[t] == 0:
+                if T[b] and T[b] & ~g.rows[t] == 0:
                     return (t,)
         return None
 
@@ -518,10 +508,10 @@ def check_h1_properties(g: Graph, part: H1Partition) -> PropertyReport:
     rep.add("claim_d_forces_t_complete", d_forces_t_complete())
 
     def f_run_empty():
-        if part.F[5] and part.F[0] and part.F[1]:
-            return (min(part.F[5]), min(part.F[0]), min(part.F[1]))
-        if part.F[2] and part.F[3] and part.F[4]:
-            return (min(part.F[2]), min(part.F[3]), min(part.F[4]))
+        if F[5] and F[0] and F[1]:
+            return (lowest(F[5]), lowest(F[0]), lowest(F[1]))
+        if F[2] and F[3] and F[4]:
+            return (lowest(F[2]), lowest(F[3]), lowest(F[4]))
         return None
 
     rep.add("claim_f_run_empty", f_run_empty())
@@ -535,11 +525,7 @@ def check_h2_properties(g: Graph, part: C5Partition, apex: int) -> PropertyRepor
     they are stated in that regime.
     """
     rep = _Report()
-    Z = mask_of(part.Z)
-    U = mask_of(part.U)
-    R = [mask_of(s) for s in part.R]
-    Y = [mask_of(s) for s in part.Y]
-    F5 = mask_of(part.F[4])
+    Z, U, R, Y, F5 = part.Z, part.U, part.R, part.Y, part.F[4]
     rep.add("u_r_complete", _first_failure(5, lambda i: first_missing_cross(g, U, R[i])))
     if U:
         rep.add(
@@ -554,22 +540,17 @@ def check_h2_properties(g: Graph, part: C5Partition, apex: int) -> PropertyRepor
             hit = g.rows[r] & F5
             if hit and hit != F5:
                 miss = F5 & ~g.rows[r]
-                return (r, (miss & -miss).bit_length() - 1)
+                return (r, lowest(miss))
         return None
 
     rep.add("r_f5_all_or_nothing", f5_clean())
-    rep.add("f5_singleton", None if part.F[4] == {apex} else tuple(sorted(part.F[4])))
-    rep.add("y5_nonempty", None if part.Y[4] else (part.cycle[4],))
+    rep.add("f5_singleton", None if F5 == 1 << apex else tuple(bits(F5)))
+    rep.add("y5_nonempty", None if Y[4] else (part.cycle[4],))
 
     frow = g.rows[apex]
     Rp = [R[i] & frow for i in range(5)]
     Rpp = [R[i] & ~frow for i in range(5)]
-    rep.add(
-        "r2pp_or_r3pp_empty",
-        None
-        if not Rpp[1] or not Rpp[2]
-        else ((Rpp[1] & -Rpp[1]).bit_length() - 1, (Rpp[2] & -Rpp[2]).bit_length() - 1),
-    )
+    rep.add("r2pp_or_r3pp_empty", (lowest(Rpp[1]), lowest(Rpp[2])) if Rpp[1] and Rpp[2] else None)
     rep.add("rp5_rp_anticomplete", first_cross_edge(g, Rp[4], Rp[1] | Rp[2]))
     rep.add("rp5_y_anticomplete", first_cross_edge(g, Rp[4], Y[1] | Y[2]))
     rep.add(
@@ -604,7 +585,7 @@ def check_h2_properties(g: Graph, part: C5Partition, apex: int) -> PropertyRepor
                 for y in bits(Y[i] & ~reach):
                     missing = reach & ~Y[i] & ~g.rows[y] & ~(1 << y)
                     if missing:
-                        return (z, y, (missing & -missing).bit_length() - 1)
+                        return (z, y, lowest(missing))
         return None
 
     rep.add("z_nonneighbor_y_complete", z_nonneighbor_y_complete())
@@ -615,7 +596,7 @@ def check_h2_properties(g: Graph, part: C5Partition, apex: int) -> PropertyRepor
                 continue
             for z in bits(Z):
                 if g.rows[z] & Y[i] == 0:
-                    return (z, (Y[i] & -Y[i]).bit_length() - 1)
+                    return (z, lowest(Y[i]))
         return None
 
     rep.add("z_anticomplete_forces_y_empty", z_forces_y_empty())

@@ -175,3 +175,18 @@ def test_suite_single_criterion():
     code, out = run_cli(["suite", "--only", "A1", "--porcelain"])
     assert code == 0
     assert out.splitlines()[0].startswith("criterion=A1 passed=true")
+
+
+def test_suite_unknown_criterion_is_usage_error():
+    with pytest.raises(SystemExit) as err:
+        run_cli(["suite", "--only", "A99"])
+    assert err.value.code == 2
+
+
+def test_undecodable_input_file_is_usage_error(tmp_path):
+    raw = tmp_path / "raw.bin"
+    raw.write_bytes(b"\xff\xfe\x00")
+    code, _ = run_cli(["color", "--in", str(raw)])
+    assert code == 2
+    code, _ = run_cli(["verify", "--in", W5_G6, "--assignment", str(raw)])
+    assert code == 2

@@ -373,6 +373,27 @@ def test_h2_apexfree_rebuilt_mechanics():
     _assert_proper(g, col2)
 
 
+def test_h2_case_partitions_only_to_mirror(monkeypatch):
+    import fourcolor.coloring as coloring
+    from fourcolor import Witness
+    from fourcolor.coloring import CaseTrace
+
+    real = coloring.c5_partition
+    calls = []
+    monkeypatch.setattr(coloring, "c5_partition", lambda g, cyc: calls.append(cyc) or real(g, cyc))
+    witness = Witness("H2", (4, 0, 1, 2, 3, 5))
+    for plants, case, mirrors in (
+        ([("F", 4), ("U", 0)], "h2/hubbed/a", 0),
+        ([("F", 4), ("R", 1)], "h2/apexfree", 1),
+    ):
+        calls.clear()
+        g = c5_with_plants(plants)
+        trace = CaseTrace()
+        _assert_proper(g, color_h2_case(g, witness, real(g, tuple(range(5))), trace))
+        assert trace.records[-1].case == case
+        assert len(calls) == mirrors
+
+
 # -- hub and bare-cycle case coverage --------------------------------------------------
 
 

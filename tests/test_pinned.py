@@ -4,26 +4,36 @@ return on fixed inputs.
 A refactor of the case analysis, the anchor partitions or the generators must
 leave every colouring, trace and reduction byte-identical; a digest that moves
 names the section whose output changed. The digests were taken from the code
-before the anchor strips were given a single definition in `structure`.
+before the anchor strips were given a single definition in `structure`; the
+"structure" digest was taken before the strips became vertex bitmasks.
 """
 
 import hashlib
+import io
+from contextlib import redirect_stdout
 
 from fourcolor import (
     PATTERNS,
     Witness,
     approx_color,
     c5_partition,
+    check_c5_properties,
+    check_h1_properties,
+    check_h2_properties,
     color_c5_case,
     color_h1_case,
     color_h2_case,
     color_w5_case,
+    emit_graph6,
     enumerate_class_members,
+    find_induced,
     four_color,
     h1_partition,
     reduce_to_core,
+    select_best_h1,
     select_best_h2,
 )
+from fourcolor.cli import main
 from fourcolor.coloring import CaseTrace
 from fourcolor.errors import InternalCaseFailure
 from fourcolor.lab import GeneratorConfig, construction, generate
@@ -34,6 +44,7 @@ PINNED = {
     "members": "3d5f75ce543921c39d2a4af74161ae415f2e4b22446f25d706046f22cef0914e",
     "cases": "881aa19642e1d8379148cf04d2b47f365bf44489348c1864e738dba1ebbf8952",
     "approx": "741d44a9e6e7c3abd065e80c39a495466d261bcdbe692caf1f21cb3b382ff258",
+    "structure": "07774b918aedeedfa6d43816f3c57eee2761890403fb624b25be65d0bddd0657",
 }
 
 # Ring-anchor plants driven through color_h1_case on the identity anchor.
@@ -161,6 +172,33 @@ def _approx_lines():
         yield g.rows, res.coloring, cover, res.pairing, res.breakdown
 
 
+def _report(rep):
+    return tuple((c.prop, c.holds, c.counterexample) for c in rep.checks)
+
+
+def _structure_lines():
+    for seed in range(60):
+        method = "incremental:H1" if seed % 2 else "incremental:C5"
+        cfg = GeneratorConfig(n=9 + seed % 6, seed=70_000 + seed, p=0.25 + 0.05 * (seed % 4), method=method)
+        g = generate(cfg)
+        w = find_induced(g, "C5")
+        if w is not None:
+            yield "c5", g.rows, _report(check_c5_properties(g, c5_partition(g, w)))
+        best = select_best_h1(g)
+        if best is not None:
+            yield "h1", g.rows, _report(check_h1_properties(g, best[1]))
+        best = select_best_h2(g)
+        if best is not None:
+            witness, part = best
+            yield "h2", g.rows, _report(check_h2_properties(g, part, witness.vertices[5]))
+        for anchor in ("c5", "h1"):
+            for extra in ([], ["--porcelain"]):
+                buf = io.StringIO()
+                with redirect_stdout(buf):
+                    code = main(["partition", "--anchor", anchor, "--in", emit_graph6(g), *extra])
+                yield "cli", anchor, extra, code, buf.getvalue()
+
+
 def test_pinned_member_colourings():
     assert _digest(_member_lines()) == PINNED["members"]
 
@@ -171,3 +209,7 @@ def test_pinned_direct_case_drives():
 
 def test_pinned_approx_results():
     assert _digest(_approx_lines()) == PINNED["approx"]
+
+
+def test_pinned_structure_reports_and_partition_output():
+    assert _digest(_structure_lines()) == PINNED["structure"]

@@ -102,14 +102,14 @@ def test_bare_cycle_partition_is_empty():
 def test_wheel_partition_has_only_the_hub():
     w5 = PATTERNS["W5"].model
     part = c5_partition(w5, tuple(range(5)))
-    assert part.U == {5}
+    assert part.U == 1 << 5
     assert all(not s for s in part.R + part.Y + part.F) and not part.Z
 
 
 def test_apex_lands_in_the_missed_slot():
     h2 = PATTERNS["H2"].model  # apex misses cycle role 0
     part = c5_partition(h2, tuple(range(5)))
-    assert part.F[0] == {5}
+    assert part.F[0] == 1 << 5
 
 
 def test_unclassifiable_vertex_is_reported():
@@ -131,7 +131,7 @@ def test_partition_rejects_non_cycle():
 def test_h1_model_partition():
     h1 = PATTERNS["H1"].model
     part = h1_partition(h1, tuple(range(7)))
-    assert part.W == {6}  # the hub classifies into W
+    assert part.W == 1 << 6  # the hub classifies into W
     assert not part.Z and all(not s for s in part.D + part.T + part.F)
 
 
@@ -139,9 +139,9 @@ def test_h1_planted_strips_classify():
     g = h1_with_plants([("T", 0), ("W", 0), ("F", 2)])
     assert certify_class(g, ("2P2", "K4")) is None
     part = h1_partition(g, tuple(range(7)))
-    assert part.T[0] == {7}
-    assert part.W == {6, 8}
-    assert part.F[2] == {9}
+    assert part.T[0] == 1 << 7
+    assert part.W == 1 << 6 | 1 << 8
+    assert part.F[2] == 1 << 9
 
 
 def test_h1_automorphisms_are_automorphisms():
@@ -167,7 +167,7 @@ def test_select_best_h1_trivial_and_absent():
 def test_select_best_h1_prefers_heavier_anchor():
     g = h1_with_plants([("T", 0)])
     witness, part = select_best_h1(g)
-    got = sum(len(s) for s in part.T) + sum(len(s) for s in part.F)
+    got = sum(s.bit_count() for s in part.T) + sum(s.bit_count() for s in part.F)
     assert got == 1
     # independent check: no anchor scores above 1, and the chosen one hits it
     def score(w):
@@ -194,7 +194,7 @@ def test_select_best_h2_on_the_model():
     witness, part = select_best_h2(h2)
     assert witness.vertices == (0, 1, 2, 3, 4, 5)
     assert part.cycle == (1, 2, 3, 4, 0)
-    assert part.F[4] == {5} and not part.U
+    assert part.F[4] == 1 << 5 and not part.U
 
 
 def test_select_best_h2_absent_on_wheel_and_cycle():
@@ -221,14 +221,14 @@ def test_partitions_are_partitions():
         if w is None:
             continue
         part = c5_partition(g, w)
-        groups = [set(part.Z), set(part.U)] + [set(s) for s in part.R + part.Y + part.F]
-        union = set(part.cycle)
+        groups = [part.Z, part.U] + list(part.R + part.Y + part.F)
+        union = sum(1 << v for v in part.cycle)
         total = len(part.cycle)
         for s in groups:
             assert not (union & s)  # pairwise disjoint, and disjoint from the anchor
             union |= s
-            total += len(s)
-        assert union == set(range(g.n)) and total == g.n
+            total += s.bit_count()
+        assert union == (1 << g.n) - 1 and total == g.n
         found += 1
 
 
@@ -240,8 +240,8 @@ def test_select_best_h2_minimizes_hub_count():
     assert certify_class(g, ("2P2", "K4")) is None
     if find_induced(g, "H1") is None:
         witness, part = select_best_h2(g)
-        assert len(part.U) == min(
-            len(c5_partition(g, (w.vertices[1], w.vertices[2], w.vertices[3], w.vertices[4], w.vertices[0])).U)
+        assert part.U.bit_count() == min(
+            c5_partition(g, (w.vertices[1], w.vertices[2], w.vertices[3], w.vertices[4], w.vertices[0])).U.bit_count()
             for w in enumerate_induced(g, "H2")
         )
 
