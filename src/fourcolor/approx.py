@@ -14,26 +14,38 @@ from dataclasses import dataclass
 # four_color stays a name of this module: bench/spans.py wraps approx.four_color.
 from .coloring import Coloring, _color_member, four_color, verify_coloring  # noqa: F401
 from .errors import ChordalityViolation, InternalCaseFailure, NotInClass
-from .graph import Graph, bits, complement, induced_subgraph
+from .graph import Graph, bits, complement, induced_subgraph, lowest
 from .patterns import certify_class
 
 
 def _mcs_visit_order(g: Graph) -> list[int]:
     """Maximum-cardinality search: repeatedly take the unvisited vertex with
-    the most visited neighbors, lowest index on ties."""
+    the most visited neighbors, lowest index on ties.
+
+    Tarjan-Yannakakis bucket queue: buckets[w] masks the unvisited vertices
+    with w visited neighbors, and each pick is the lowest bit of the highest
+    non-empty bucket.
+    """
     n = g.n
     weight = [0] * n
-    visited = 0
+    buckets = [0] * (n + 1)
+    buckets[0] = (1 << n) - 1
+    unvisited = buckets[0]
+    top = 0
     order = []
     for _ in range(n):
-        best = -1
-        for v in range(n):
-            if not (visited >> v) & 1 and (best < 0 or weight[v] > weight[best]):
-                best = v
-        order.append(best)
-        visited |= 1 << best
-        for u in bits(g.rows[best] & ~visited):
-            weight[u] += 1
+        while not buckets[top]:
+            top -= 1
+        v = lowest(buckets[top])
+        order.append(v)
+        buckets[top] ^= 1 << v
+        unvisited ^= 1 << v
+        for u in bits(g.rows[v] & unvisited):
+            w = weight[u]
+            buckets[w] ^= 1 << u
+            buckets[w + 1] |= 1 << u
+            weight[u] = w + 1
+        top += 1
     return order
 
 

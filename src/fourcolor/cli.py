@@ -51,7 +51,11 @@ def _read_text(path: Path) -> str:
 def _load_graph(spec: str) -> Graph:
     """Read a graph from a file path or an inline graph6 token."""
     path = Path(spec)
-    text = _read_text(path) if path.exists() else spec
+    try:
+        is_file = path.exists()
+    except OSError:  # e.g. a long inline token is too long for a file name
+        is_file = False
+    text = _read_text(path) if is_file else spec
     stripped = text.strip()
     if not stripped:
         raise GraphFormatError("empty graph input")

@@ -81,11 +81,17 @@ class CaseTrace:
 
 def verify_coloring(g: Graph, coloring: Coloring) -> tuple[int, int] | None:
     """First monochromatic edge, or None if the coloring is proper and total."""
-    if len(coloring.colors) != g.n:
+    colors = coloring.colors
+    if len(colors) != g.n:
         raise ValueError("coloring does not cover the vertex set")
-    for u, v in g.edges():
-        if coloring.colors[u] == coloring.colors[v]:
-            return u, v
+    classes: dict = {}
+    for v, c in enumerate(colors):
+        classes[c] = classes.get(c, 0) | 1 << v
+    # First in g.edges() order: lowest u, then its lowest same-colored v above u.
+    for u, c in enumerate(colors):
+        clash = g.rows[u] & classes[c] >> (u + 1) << (u + 1)
+        if clash:
+            return u, lowest(clash)
     return None
 
 
@@ -750,6 +756,11 @@ def color_fallback(g: Graph, trace: CaseTrace | None = None, label=None) -> Colo
     w = find_induced(g, "C5")
     if w is not None:
         raise ValueError(f"fallback requires a five-cycle-free graph; found {w.vertices}")
+    return _fallback_search(g, trace, label)
+
+
+def _fallback_search(g: Graph, trace: CaseTrace | None, label) -> Coloring:
+    """color_fallback past its five-cycle guard, for a graph already searched."""
     n = g.n
     if n == 0:
         if trace is not None:
@@ -822,7 +833,7 @@ def _color_component(sub: Graph, trace: CaseTrace | None, label) -> Coloring:
     if c5 is not None:
         part = c5_partition(sub, c5.vertices)
         return color_c5_case(sub, part, trace, label)
-    return color_fallback(sub, trace, label)
+    return _fallback_search(sub, trace, label)
 
 
 def four_color(g: Graph) -> tuple[Coloring, CaseTrace]:

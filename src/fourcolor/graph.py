@@ -122,12 +122,14 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range for n={g.n}")
     pos = {v: i for i, v in enumerate(keep)}
+    kept = 0
+    for v in keep:
+        kept |= 1 << v
     rows = []
     for v in keep:
         row = 0
-        for u in bits(g.rows[v]):
-            if u in pos:
-                row |= 1 << pos[u]
+        for u in bits(g.rows[v] & kept):
+            row |= 1 << pos[u]
         rows.append(row)
     return Graph(len(keep), tuple(rows)), tuple(keep)
 

@@ -11,6 +11,17 @@ edge holds an edge, and an induced 2P2 iff the common non-neighborhood of
 some edge does; C4 and 4P1 are the same tests on the complement. The
 role-ordered search then runs only to build the witness of a pattern the
 tests found.
+
+The tests run on the false-twin quotient of the rows they read: one vertex
+per distinct neighborhood. Two false twins (nonadjacent, same neighborhood)
+are never both in an induced 2P2 or K4: K4 has no nonadjacent pair, and each
+nonadjacent pair of 2P2 is told apart by a pattern vertex. Replacing every
+vertex of an induced copy by its class representative keeps all adjacencies
+(u ~ v iff u ~ v' for twins v, v'), so a graph holds a 2P2 or K4 iff its
+quotient does. On the complement, false twins are the true twins of the
+graph (adjacent, same closed neighborhood), which 4P1 and C4 never contain.
+Blow-ups, whose vertices come in twin classes, are thus certified at the
+cost of their quotient.
 """
 
 from __future__ import annotations
@@ -140,6 +151,21 @@ def find_induced(g: Graph, pattern: str | Pattern, containing: int | None = None
     return next(enumerate_induced(g, pattern, containing), None)
 
 
+def _false_twin_quotient(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The rows of the subgraph induced by the lowest vertex of each distinct
+    row, with every other vertex left isolated (an isolated vertex is in no
+    2P2 or K4)."""
+    first: dict[int, int] = {}
+    for v, r in enumerate(rows):
+        first.setdefault(r, v)
+    if len(first) == len(rows):
+        return rows
+    keep = 0
+    for v in first.values():
+        keep |= 1 << v
+    return tuple(r & keep if (keep >> v) & 1 else 0 for v, r in enumerate(rows))
+
+
 def _has_k4(rows: tuple[int, ...]) -> bool:
     """Some edge's common neighborhood holds an edge. Each 4-set is tested
     once, from the edge of its two lowest vertices."""
@@ -155,8 +181,11 @@ def _has_k4(rows: tuple[int, ...]) -> bool:
 
 def _has_2p2(rows: tuple[int, ...]) -> bool:
     """Some edge's common non-neighborhood holds an edge. Each 4-set is
-    tested from its lowest vertex u, through the edges uv with v above u."""
-    full = (1 << len(rows)) - 1
+    tested from its lowest vertex u, through the edges uv with v above u.
+    Only vertices with a neighbor can be in a 2P2."""
+    full = 0
+    for r in rows:
+        full |= r
     for u, ru in enumerate(rows):
         later = full >> (u + 1) << (u + 1)
         for v in bits(ru & later):
@@ -179,17 +208,19 @@ _EDGE_TESTS = {
 def certify_class(g: Graph, forbidden) -> Witness | None:
     """First witness of any forbidden pattern, or None if g avoids them all.
 
-    2P2, K4, C4 and 4P1 are tested per edge; the role-ordered search runs
-    only on a pattern that is present, to produce its witness.
+    2P2, K4, C4 and 4P1 are tested per edge on a twin quotient; the
+    role-ordered search runs only on a pattern that is present, on the full
+    graph, to produce its witness.
     """
-    co_rows = None
+    quotients: dict[bool, tuple[int, ...]] = {}
     for pattern in forbidden:
         p = get_pattern(pattern)
         if p in _EDGE_TESTS:
             on_complement, present = _EDGE_TESTS[p]
-            if on_complement and co_rows is None:
-                co_rows = complement(g).rows
-            if not present(co_rows if on_complement else g.rows):
+            if on_complement not in quotients:
+                rows = complement(g).rows if on_complement else g.rows
+                quotients[on_complement] = _false_twin_quotient(rows)
+            if not present(quotients[on_complement]):
                 continue
         w = find_induced(g, p)
         if w is not None:

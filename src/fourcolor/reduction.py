@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ReinsertionConflict
-from .graph import Graph, bits, induced_subgraph
+from .graph import Graph, bits, induced_subgraph, lowest
 
 
 @dataclass(frozen=True)
@@ -68,20 +68,33 @@ def reinsert_colors(g: Graph, core_coloring, trace: ReductionTrace):
         raise ReinsertionConflict(
             f"trace is for n={trace.n_original}, graph has n={g.n}"
         )
-    assigned: dict[int, int] = {
-        orig: core_coloring.colors[ci] for ci, orig in enumerate(trace.core_vertices)
-    }
+    if len(core_coloring.colors) != len(trace.core_vertices):
+        raise ReinsertionConflict(
+            f"core coloring has {len(core_coloring.colors)} colors for "
+            f"{len(trace.core_vertices)} core vertices"
+        )
+    n = g.n
+    for v in (*trace.core_vertices, *(removed for removed, _ in trace.steps)):
+        if not 0 <= v < n:
+            raise ReinsertionConflict(f"trace vertex {v} out of range for n={n}")
+    colors: list = [None] * n
+    classes: dict[int, int] = {}  # color -> mask of the vertices holding it
+    for ci, orig in enumerate(trace.core_vertices):
+        colors[orig] = color = core_coloring.colors[ci]
+        classes[color] = classes.get(color, 0) | 1 << orig
     for removed, dominator in reversed(trace.steps):
-        if dominator not in assigned:
+        color = colors[dominator] if 0 <= dominator < n else None
+        if color is None:
             raise ReinsertionConflict(
                 f"dominator {dominator} uncolored when reinserting {removed}"
             )
-        color = assigned[dominator]
-        for w in bits(g.rows[removed]):
-            if assigned.get(w) == color:
-                raise ReinsertionConflict(
-                    f"vertex {removed} would clash with neighbor {w} on color {color}"
-                )
-        assigned[removed] = color
-    colors = tuple(assigned[v] for v in range(g.n))
-    return Coloring(colors, core_coloring.k)
+        clash = g.rows[removed] & classes[color]
+        if clash:
+            raise ReinsertionConflict(
+                f"vertex {removed} would clash with neighbor {lowest(clash)} on color {color}"
+            )
+        colors[removed] = color
+        classes[color] |= 1 << removed
+    if None in colors:
+        raise ReinsertionConflict(f"vertex {colors.index(None)} is not covered by the trace")
+    return Coloring(tuple(colors), core_coloring.k)

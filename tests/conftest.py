@@ -11,7 +11,7 @@ from itertools import combinations, permutations, product
 
 from hypothesis import strategies as st
 
-from fourcolor import Graph, PATTERNS, complement
+from fourcolor import Graph, PATTERNS, bits, complement
 
 
 @st.composite
@@ -30,16 +30,37 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def with_twins(rng: random.Random, g: Graph, extra: int) -> Graph:
+    """g with `extra` planted twins, each a false twin (same neighborhood) or
+    a true twin (same closed neighborhood) of a random earlier vertex; the
+    new vertices are shuffled in among the old ones."""
+    if g.n == 0:
+        return g
+    rows = list(g.rows)
+    for _ in range(extra):
+        t = rng.randrange(len(rows))
+        nbhd = rows[t] | (1 << t if rng.random() < 0.5 else 0)
+        for u in bits(nbhd):
+            rows[u] |= 1 << len(rows)
+        rows.append(nbhd)
+    twinned = Graph(len(rows), tuple(rows))
+    label = list(range(twinned.n))
+    rng.shuffle(label)
+    return Graph.from_edges(twinned.n, [(label[u], label[v]) for u, v in twinned.edges()])
+
+
 @st.composite
 def large_graphs(draw, max_n: int = 30):
     """Graphs with up to max_n vertices on both sides of the class tests:
     random graphs from sparse to dense, and relabelled C5 blow-ups (members
     of the (2P2, K4)-free class) with up to three edges flipped, or their
-    complements."""
+    complements; random graphs and blow-ups alike may get planted false and
+    true twins."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         n = draw(st.integers(0, max_n))
-        return random_graph(rng, n, draw(st.sampled_from([0.05, 0.15, 0.5, 0.85, 0.95])))
+        g = random_graph(rng, n, draw(st.sampled_from([0.05, 0.15, 0.5, 0.85, 0.95])))
+        return with_twins(rng, g, draw(st.integers(0, max_n - n)) if draw(st.booleans()) else 0)
     sizes = draw(st.lists(st.integers(0, max_n // 5), min_size=5, max_size=5))
     starts = [sum(sizes[:i]) for i in range(6)]
     n = starts[5]
@@ -57,7 +78,7 @@ def large_graphs(draw, max_n: int = 30):
     g = Graph.from_edges(n, [tuple(e) for e in edges])
     if draw(st.booleans()):
         g = complement(g)
-    return g
+    return with_twins(rng, g, draw(st.integers(0, max_n - n)) if draw(st.booleans()) else 0)
 
 
 def all_labelled_graphs(max_n: int):

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
 
 import fourcolor.approx
+from conftest import large_graphs
 from fourcolor import (
     ChordalityViolation,
     Coloring,
@@ -17,6 +19,8 @@ from fourcolor import (
     peo,
     verify_coloring,
 )
+from fourcolor.approx import _mcs_visit_order
+from fourcolor.graph import bits
 from fourcolor.lab import (
     GeneratorConfig,
     clique_number,
@@ -55,6 +59,30 @@ def test_peo_is_a_perfect_elimination_ordering():
                 for j in range(i + 1, len(later)):
                     assert g.has_edge(later[i], later[j])
     assert peo(cycle(5)) is None
+
+
+def reference_mcs(g):
+    """The per-vertex scan: each pick looks at every unvisited vertex and keeps
+    the first with the most visited neighbors."""
+    weight = [0] * g.n
+    visited = 0
+    order = []
+    for _ in range(g.n):
+        best = -1
+        for v in range(g.n):
+            if not (visited >> v) & 1 and (best < 0 or weight[v] > weight[best]):
+                best = v
+        order.append(best)
+        visited |= 1 << best
+        for u in bits(g.rows[best] & ~visited):
+            weight[u] += 1
+    return order
+
+
+@given(large_graphs(max_n=30))
+@settings(max_examples=150, deadline=None)
+def test_mcs_bucket_queue_matches_the_scan(g):
+    assert _mcs_visit_order(g) == reference_mcs(g)
 
 
 def test_chordal_color_examples():

@@ -5,7 +5,7 @@ import pytest
 
 from fourcolor import Coloring, emit_edge_list, emit_graph6, parse_graph6, verify_coloring
 from fourcolor.cli import main
-from fourcolor.lab import construction
+from fourcolor.lab import c5_blowup, construction
 
 
 def run_cli(argv):
@@ -99,6 +99,16 @@ def test_edge_list_input(tmp_path):
     f.write_text(emit_edge_list(g))
     code, out = run_cli(["color", "--in", str(f)])
     assert code == 0 and out.splitlines()[0] == "k=4"
+
+
+def test_inline_token_longer_than_a_file_name():
+    g = c5_blowup((12,) * 5)
+    token = emit_graph6(g)
+    assert len(token) > 255
+    code, out = run_cli(["color", "--in", token])
+    assert code == 0
+    colors = tuple(int(ln.split()[1]) for ln in out.splitlines()[1:])
+    assert verify_coloring(g, Coloring(colors, 4)) is None
 
 
 def test_oversized_header_exits_1(tmp_path):

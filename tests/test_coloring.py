@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import naive_chromatic, random_graph
+import fourcolor.coloring
+from conftest import large_graphs, naive_chromatic, random_graph
 from fourcolor import (
     PATTERNS,
     Coloring,
@@ -181,6 +184,21 @@ def test_verify_coloring_examples():
     assert verify_coloring(g, Coloring(tuple(range(1, 7)), 6)) is None
 
 
+def reference_verify(g, coloring):
+    """The edge loop: first monochromatic edge in g.edges() order."""
+    for u, v in g.edges():
+        if coloring.colors[u] == coloring.colors[v]:
+            return u, v
+    return None
+
+
+@given(large_graphs(max_n=30), st.integers(1, 6), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_verify_coloring_matches_the_edge_loop(g, k, rng):
+    coloring = Coloring(tuple(rng.randint(0, k) for _ in range(g.n)), k)
+    assert verify_coloring(g, coloring) == reference_verify(g, coloring)
+
+
 # -- fallback ---------------------------------------------------------------------
 
 
@@ -206,6 +224,19 @@ def test_fallback_search_is_not_bounded_by_recursion_depth():
 def test_fallback_rejects_five_cycles():
     with pytest.raises(ValueError):
         color_fallback(cycle(5))
+
+
+def test_pipeline_searches_a_fallback_component_for_five_cycles_once(monkeypatch):
+    searched = []
+
+    def counting(g, pattern, containing=None):
+        searched.append(pattern)
+        return find_induced(g, pattern, containing)
+
+    monkeypatch.setattr(fourcolor.coloring, "find_induced", counting)
+    _, trace = four_color(construction("C7-complement"))
+    assert [r.lemma for r in trace.records] == ["fallback"]
+    assert searched == ["W5", "C5"]
 
 
 # -- ring-anchor case coverage -------------------------------------------------------

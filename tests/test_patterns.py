@@ -16,7 +16,8 @@ from fourcolor import (
     matches_pattern,
     path,
 )
-from fourcolor.lab import construction
+from fourcolor.lab import c5_blowup, construction
+from fourcolor.patterns import _false_twin_quotient
 
 
 def test_pattern_models_match_their_definitions():
@@ -158,3 +159,17 @@ def test_certify_class_matches_the_search_on_larger_graphs(g):
 def test_certify_class_keeps_the_search_for_other_patterns(g):
     for pattern in sorted(set(PATTERNS) - set(EDGE_TESTED)):
         assert certify_class(g, (pattern,)) == find_induced(g, pattern)
+
+
+def test_a_blowup_and_its_twin_quotient_get_the_same_verdict():
+    g = c5_blowup((3, 1, 4, 2, 5))
+    quotient = _false_twin_quotient(g.rows)
+    kept = [v for v, row in enumerate(quotient) if row]
+    assert len(kept) == 5
+    assert find_induced(induced_subgraph(g, kept)[0], "C5") is not None
+    # 2P2 and K4 are decided on the false-twin quotient, 4P1 and C4 on the
+    # true-twin quotient, which is the false-twin quotient of the complement.
+    for forbidden in FORBIDDEN_SETS:
+        on = complement(g) if set(forbidden) <= {"4P1", "C4"} else g
+        assert certify_class(on, forbidden) is None
+        assert certify_class(cycle(5), forbidden) is None

@@ -79,6 +79,40 @@ def test_reinsert_detects_corruption():
         verify_coloring(g, bad)
 
 
+def test_reinsert_names_a_vertex_the_trace_leaves_uncovered():
+    with pytest.raises(ReinsertionConflict, match="^vertex 1 is not covered by the trace$"):
+        reinsert_colors(empty(3), Coloring((1,), 1), ReductionTrace(3, (), (0,)))
+
+
+@pytest.mark.parametrize("steps, core", [((), (0, 1, 2, 3)), (((-1, 0),), (0, 1, 2))])
+def test_reinsert_rejects_trace_vertices_out_of_range(steps, core):
+    trace = ReductionTrace(3, steps, core)
+    with pytest.raises(ReinsertionConflict, match="out of range for n=3"):
+        reinsert_colors(empty(3), Coloring((1,) * len(core), 1), trace)
+
+
+def test_reinsert_rejects_a_core_coloring_of_the_wrong_length():
+    with pytest.raises(ReinsertionConflict, match="^core coloring has 0 colors for 2 core vertices$"):
+        reinsert_colors(empty(2), Coloring((), 0), ReductionTrace(2, (), (0, 1)))
+
+
+@pytest.mark.parametrize("dominator", [1, 3, -1])
+def test_reinsert_rejects_an_uncolored_dominator(dominator):
+    trace = ReductionTrace(3, ((2, dominator),), (0,))
+    with pytest.raises(ReinsertionConflict) as exc:
+        reinsert_colors(empty(3), Coloring((1,), 1), trace)
+    assert str(exc.value) == f"dominator {dominator} uncolored when reinserting 2"
+
+
+def test_reinsert_names_the_lowest_clashing_neighbor():
+    # 2 takes 0's color, but 2 is adjacent to 1 and 3, which hold it too.
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    trace = ReductionTrace(4, ((2, 0),), (0, 1, 3))
+    with pytest.raises(ReinsertionConflict) as exc:
+        reinsert_colors(g, Coloring((1, 1, 1), 1), trace)
+    assert str(exc.value) == "vertex 2 would clash with neighbor 1 on color 1"
+
+
 def test_reduction_is_idempotent():
     rng = random.Random(3)
     for _ in range(30):
