@@ -14,18 +14,9 @@ from itertools import combinations, permutations
 from typing import Iterator
 
 from .coloring import Coloring
-from .errors import GenerationError, NotInClass, SizeGuardExceeded
+from .errors import GenerationError, GraphFormatError, NotInClass, SizeGuardExceeded
 from .graph import Graph, bits, complement, cycle, empty, emit_graph6, parse_graph6
 from .patterns import PATTERNS, certify_class, find_induced
-from .structure import (
-    C5_STRIPS,
-    H1_D_F,
-    H1_STRIPS,
-    H1_W_COMPLETE,
-    c5_partition,
-    h1_partition,
-    mask_of,
-)
 
 CHI_GUARD = 24
 OMEGA_GUARD = 40
@@ -249,7 +240,9 @@ class GeneratorConfig:
     seed: int
     p: float = 0.5
     cls: str = "2p2k4-free"
-    method: str = "auto"  # rejection | incremental[:start] | construction name
+    # auto | rejection | incremental[:start] | planted:start | a construction name,
+    # where start is a construction name or a graph6 token
+    method: str = "auto"
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
@@ -295,163 +288,44 @@ def _rejection(rng: random.Random, n: int, p: float, forbidden) -> Graph:
     )
 
 
-_INCREMENTAL_TRIES = 40
+_GROWTH_TRIES = 40
 
 
-def _incremental(rng: random.Random, n: int, p: float, forbidden, start: str | None) -> Graph:
-    g = construction(start) if start else empty(min(n, 1))
-    if g.n > n:
-        raise GenerationError(f"start construction has {g.n} vertices, target n={n}")
-    while g.n < n:
-        placed = False
-        for _ in range(_INCREMENTAL_TRIES):
-            mask = 0
-            for u in range(g.n):
-                if rng.random() < p:
-                    mask |= 1 << u
-            cand = g.add_vertex(mask)
-            if all(find_induced(cand, pat, containing=g.n) is None for pat in forbidden):
-                g = cand
-                placed = True
-                break
-        if not placed:
-            # Duplicating a vertex as a nonadjacent twin never creates a new
-            # induced 2P2 or K4, so progress is always possible.
-            g = g.add_vertex(g.rows[rng.randrange(g.n)])
+def _start_graph(start: str, n: int, forbidden) -> Graph:
+    """The graph that growth starts from, given as a construction name or graph6."""
+    try:
+        g = construction(start)
+    except ValueError:
+        try:
+            g = parse_graph6(start)
+        except GraphFormatError as exc:
+            raise GraphFormatError(f"start {start!r} is neither a construction nor graph6: {exc}") from exc
+    if not 0 < g.n <= n:
+        raise GenerationError(f"start graph has {g.n} vertices, target n={n}")
+    witness = certify_class(g, forbidden)
+    if witness is not None:
+        raise GenerationError(f"start graph is outside the class: induced {witness.pattern}")
     return g
 
 
-# Strip-template growth around an anchor. Each planted vertex copies one of
-# the strip neighborhoods of structure's strip tables; adjacency to already-
-# classified vertices is forced where the class requires completeness or anti-
-# completeness and coin-flipped where it is genuinely free. Additions creating a forbidden pattern
-# or a comparable pair are rejected, so cores stay rich under reduction.
-
-def _c5_relation(k1: str, i1: int, k2: str, i2: int) -> str:
-    """'c' complete, 'a' anti-complete, 'f' free, for five-cycle strips."""
-    if (k1, i1) == (k2, i2):
-        return "a"
-    if k1 > k2 or (k1 == k2 and i1 > i2):
-        k1, i1, k2, i2 = k2, i2, k1, i1
-    pair = (k1, k2)
-    dist = min((i1 - i2) % 5, (i2 - i1) % 5)
-    if pair == ("R", "R") or pair == ("Y", "Y"):
-        return "c" if dist == 1 else "f"
-    if pair == ("R", "Y"):
-        return "c" if i1 == i2 else "f"
-    if pair == ("F", "Y"):
-        return "c" if dist == 2 else "a"
-    if pair == ("F", "R"):
-        return "c" if dist == 1 else "f"
-    if pair == ("F", "F"):
-        return "f"
-    if "U" in pair:
-        other = k1 if k2 == "U" else k2
-        return {"R": "f", "Y": "a", "F": "a", "U": "a", "Z": "f"}[other]
-    if "Z" in pair:
-        other = k1 if k2 == "Z" else k2
-        return {"R": "a", "Y": "f", "F": "f", "Z": "a"}[other]
-    return "f"
+def _coin_mask(rng: random.Random, vertices, p: float) -> int:
+    """Keep each of the vertices, in the order given, with probability p."""
+    return sum(1 << v for v in vertices if rng.random() < p)
 
 
-def _h1_relation(k1: str, i1: int, k2: str, i2: int) -> str:
-    if (k1, i1) == (k2, i2):
-        return "a"
-    if k1 > k2 or (k1 == k2 and i1 > i2):
-        k1, i1, k2, i2 = k2, i2, k1, i1
-    pair = (k1, k2)
-    dist = min((i1 - i2) % 6, (i2 - i1) % 6)
-    if pair in (("D", "D"), ("F", "F")):
-        return "c" if dist == 2 else "a"
-    if pair == ("T", "T"):
-        if dist == 3:
-            return "c"
-        if frozenset((i1, i2)) in (
-            frozenset((2, 0)), frozenset((2, 4)), frozenset((5, 1)), frozenset((5, 3)),
-        ):
-            return "c"
-        if frozenset((i1, i2)) in (frozenset((0, 1)), frozenset((3, 4))):
-            return "a"
-        return "f"
-    if pair == ("D", "T"):
-        return "c" if (i2 - i1) % 6 in (3, 4) else "a"
-    if pair == ("F", "T"):
-        if (i2 - i1) % 6 in (3, 4) or (i1, i2) in ((1, 0), (4, 3), (2, 4), (5, 1)):
-            return "c"
-        if (i2 - i1) % 6 in (0, 1):
-            return "a"
-        return "f"
-    if pair == ("D", "F"):
-        anti, comp = H1_D_F[i1]
-        return "a" if i2 in anti else "c" if i2 in comp else "f"
-    if "W" in pair:
-        other, idx = ((k1, i1) if k2 == "W" else (k2, i2))
-        if other == "W":
-            return "a"
-        return "c" if idx in H1_W_COMPLETE[other] else "a"
-    return "f"
-
-
-def _menu(strips, kinds: str) -> list[tuple[str, int]]:
-    return [(kind, i) for kind in kinds for i in range(len(strips[kind]))]
-
-
-_PLANT_MENUS = {
-    "C5": _menu(C5_STRIPS, "RYZ"),
-    "H2": _menu(C5_STRIPS, "RYZ"),
-    "W5": _menu(C5_STRIPS, "RYZU"),
-    "H1": _menu(H1_STRIPS, "DTFW"),
-}
-
-
-def _planted(rng: random.Random, n: int, p: float, forbidden, anchor_name: str) -> Graph:
-    key = anchor_name.upper()
-    if key not in _PLANT_MENUS:
-        raise GenerationError(f"no plant menu for anchor {anchor_name!r}")
-    g = construction(key)
-    strips = H1_STRIPS if key == "H1" else C5_STRIPS
-    relation = _h1_relation if key == "H1" else _c5_relation
-    gate = tuple(forbidden) + (("H1",) if key in ("H2", "W5") and "H1" not in forbidden else ())
-
-    def classify(graph: Graph) -> dict[int, tuple[str, int]]:
-        if key == "H1":
-            part = h1_partition(graph, tuple(range(7)))
-            strips = [("D", part.D), ("T", part.T), ("F", part.F), ("W", (part.W,)), ("Z", (part.Z,))]
-        else:
-            part = c5_partition(graph, tuple(range(5)))
-            strips = [("R", part.R), ("Y", part.Y), ("F", part.F), ("U", (part.U,)), ("Z", (part.Z,))]
-        # The coin flips below follow where's order, which is each strip's
-        # iteration order as a frozenset built through a set; keeping that
-        # order keeps every planted graph as it was.
-        where = {}
-        for kind, groups in strips:
-            for idx, mask in enumerate(groups):
-                for v in frozenset(set(bits(mask))):
-                    where[v] = (kind, idx)
-        return where
-
-    where = classify(g)
-    menu = _PLANT_MENUS[key]
+def _grow(rng: random.Random, g: Graph, n: int, forbidden, draw) -> Graph:
+    """Add vertices until g has n, each with neighborhood `draw(g)` if one of
+    `_GROWTH_TRIES` draws keeps g in the class, else as a twin."""
     while g.n < n:
-        placed = False
-        for _ in range(_INCREMENTAL_TRIES):
-            kind, idx = menu[rng.randrange(len(menu))]
-            mask = mask_of(strips[kind][idx])
-            for v, (k2, i2) in where.items():
-                rel = relation(kind, idx, k2, i2)
-                if rel == "c" or (rel == "f" and rng.random() < p):
-                    mask |= 1 << v
-            cand = g.add_vertex(mask)
-            if any(find_induced(cand, pat, containing=g.n) is not None for pat in gate):
-                continue
-            g = cand
-            where = classify(g)
-            placed = True
-            break
-        if not placed:
-            # pad with a twin; it disappears again under reduction
+        for _ in range(_GROWTH_TRIES):
+            cand = g.add_vertex(draw(g))
+            if all(find_induced(cand, pat, containing=g.n) is None for pat in forbidden):
+                g = cand
+                break
+        else:
+            # Duplicating a vertex as a nonadjacent twin never creates a new
+            # induced 2P2 or K4, so progress is always possible.
             g = g.add_vertex(g.rows[rng.randrange(g.n)])
-            where = classify(g)
     return g
 
 
@@ -471,10 +345,19 @@ def generate(config: GeneratorConfig) -> Graph:
         if method == "rejection":
             g = _rejection(rng, config.n, config.p, forbidden)
         elif method == "incremental" or method.startswith("incremental:"):
-            start = method.partition(":")[2] or None
-            g = _incremental(rng, config.n, config.p, forbidden, start)
+            start = method.partition(":")[2]
+            g = _start_graph(start, config.n, forbidden) if start else empty(min(config.n, 1))
+            g = _grow(rng, g, config.n, forbidden, lambda h: _coin_mask(rng, range(h.n), config.p))
         elif method.startswith("planted:"):
-            g = _planted(rng, config.n, config.p, forbidden, method.partition(":")[2])
+            # Each addition takes part of a random vertex u's neighborhood, so u
+            # dominates it. Undoing the additions in reverse order removes a
+            # dominated vertex at each step, and every such removal order ends
+            # in the same graph up to isomorphism, so the core is the start.
+            g = _start_graph(method.partition(":")[2], config.n, forbidden)
+            g = _grow(
+                rng, g, config.n, forbidden,
+                lambda h: _coin_mask(rng, bits(h.rows[rng.randrange(h.n)]), config.p),
+            )
         else:
             g = construction(method)
     witness = certify_class(g, forbidden)

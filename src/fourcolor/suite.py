@@ -15,7 +15,7 @@ from typing import Callable
 
 from .approx import approx_color, chordal_color, is_chordal
 from .coloring import color_fallback, four_color, verify_coloring
-from .graph import Graph, bits, connected_components, induced_subgraph
+from .graph import Graph, bits, connected_components, induced_subgraph, parse_graph6
 from .lab import (
     GeneratorConfig,
     clique_number,
@@ -105,23 +105,28 @@ def crit_extremal() -> tuple[bool, str]:
     return True, "; ".join(notes)
 
 
+# Cores (connected members with no comparable pair) that A2 grows planted
+# members from: the 16 with at most nine vertices, then three cores of larger
+# grown members, which reach core sizes 10 and 11 and the leaf h1/f12/f61empty/d.
+SEED_CORES = (
+    "A_", "Bw", "DUW", "EUZw", "EUxo", "FEyrg", "FUZuo", "FUzro", "GEzdrk", "GEyvrw",
+    "HCrfbo{", "HCrfbq|", "HCrfdxz", "HCrbvm}", "HCrrvqm", "HEzdvxu",
+    "IUxuvK}{G", "Ihvsl`jSo", "JUxrC~qrLk_",
+)
+
+
 def _mixed_configs(count: int):
-    methods = (
-        "auto",
-        "incremental",
-        "incremental:C5",
-        "incremental:H1",
-        "incremental:H2",
-        "planted:C5",
-        "planted:W5",
-        "planted:H2",
-        "planted:H1",
-    )
+    methods = ("auto", "incremental", "incremental:C5", "incremental:H1", "incremental:H2")
+    methods += ("planted",) * 4
+    planted = 0
     for i in range(count):
         n = 5 + (i * 7) % 36
         method = methods[i % len(methods)]
-        if method.startswith("planted") and n > 18:
-            n = 8 + i % 11
+        if method == "planted":
+            core = SEED_CORES[planted % len(SEED_CORES)]
+            planted += 1
+            method = f"planted:{core}"
+            n = max(n, parse_graph6(core).n)
         if method.startswith("incremental:") and n < 8:
             n = 8
         if i % 25 == 24:
@@ -131,6 +136,15 @@ def _mixed_configs(count: int):
             )
             continue
         yield GeneratorConfig(n=n, seed=i, p=0.2 + 0.05 * (i % 8), method=method)
+
+
+# Every case leaf the A2 mix reaches; losing one means a generator or the
+# anchor selection changed what the criterion exercises.
+A2_LEAVES = (
+    "c5/spread", "fallback/search", "h1/both/f23", "h1/both/f61/plain", "h1/f12/f23empty/e",
+    "h1/f12/f61empty/d", "h1/neither/f23empty/b", "h1/neither/f61empty/a", "h1/neither/f61empty/b",
+    "h2/apexfree", "h2/hubbed/a", "h2/hubbed/b", "w5/hub",
+)
 
 
 def crit_pipeline_soundness() -> tuple[bool, str]:
@@ -144,9 +158,12 @@ def crit_pipeline_soundness() -> tuple[bool, str]:
         if verify_coloring(g, col) is not None or col.k > 4:
             return False, f"seed={cfg.seed}: improper or k={col.k}"
         for rec in trace.records:
-            cases[rec.lemma] = cases.get(rec.lemma, 0) + 1
+            cases[rec.case] = cases.get(rec.case, 0) + 1
+    missed = [leaf for leaf in A2_LEAVES if leaf not in cases]
+    if missed:
+        return False, f"leaves not reached: {' '.join(missed)}"
     spread = ",".join(f"{k}:{v}" for k, v in sorted(cases.items()))
-    return True, f"1000 instances proper with k<=4 ({spread})"
+    return True, f"1000 instances proper with k<=4, {len(cases)} leaves ({spread})"
 
 
 def crit_oracle_chi_bound() -> tuple[bool, str]:

@@ -153,6 +153,14 @@ def test_generate_manifest_and_porcelain():
     assert out.startswith("seed=3 n=6 class=2p2k4free graph6=")
 
 
+@pytest.mark.parametrize(
+    "start, n, code",
+    [("C~", 10, 1), ("?", 10, 1), ("HCrfdxz", 5, 1), ("Bww", 10, 2)],
+)
+def test_generate_bad_planted_start_exit_codes(start, n, code):
+    assert run_cli(["generate", "--method", f"planted:{start}", "--n", str(n), "--seed", "1"])[0] == code
+
+
 def test_partition_c5_porcelain():
     code, out = run_cli(["partition", "--anchor", "c5", "--in", W5_G6, "--porcelain"])
     assert code == 0

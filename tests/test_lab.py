@@ -1,18 +1,26 @@
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from conftest import naive_chromatic, naive_find_induced, naive_is_k_colorable, random_graph
 from fourcolor import (
+    GenerationError,
     Graph,
+    GraphFormatError,
     NotInClass,
     SizeGuardExceeded,
     certify_class,
     complement,
     complete,
+    connected_components,
     cycle,
     empty,
+    find_comparable_pair,
+    induced_subgraph,
+    parse_graph6,
+    reduce_to_core,
     verify_coloring,
 )
 from fourcolor.lab import (
@@ -28,6 +36,7 @@ from fourcolor.lab import (
     petersen,
     wagon_bound_check,
 )
+from fourcolor.suite import SEED_CORES
 
 
 def test_exact_chromatic_known_values():
@@ -166,3 +175,49 @@ def test_exact_chromatic_search_is_not_bounded_by_recursion_depth():
     chi, col = exact_chromatic(g, limit=g.n)
     assert chi == 3 and col.k == 3
     assert verify_coloring(g, col) is None
+
+
+def _nx(g: Graph) -> nx.Graph:
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
+
+
+def test_seed_cores_are_connected_members_without_comparable_pairs():
+    for token in SEED_CORES:
+        g = parse_graph6(token)
+        assert certify_class(g, ("2P2", "K4")) is None, token
+        assert len(connected_components(g)) == 1, token
+        assert find_comparable_pair(g) is None, token
+
+
+@pytest.mark.parametrize("method", ["planted", "incremental"])
+def test_growth_from_a_graph6_start(method):
+    for i, token in enumerate(SEED_CORES):
+        start = parse_graph6(token)
+        for n in (20, 40):
+            cfg = GeneratorConfig(n=n, seed=i, p=0.2 + 0.05 * (i % 8), method=f"{method}:{token}")
+            g = generate(cfg)
+            assert g == generate(cfg) and g.n == n
+            assert certify_class(g, ("2P2", "K4")) is None
+            assert induced_subgraph(g, range(start.n))[0] == start
+            if method == "planted":
+                # every addition is dominated, so the start survives as the core
+                core, _ = reduce_to_core(g)
+                assert nx.is_isomorphic(_nx(core), _nx(start)), (token, n)
+
+
+@pytest.mark.parametrize("method", ["planted", "incremental"])
+def test_bad_growth_starts_fail_cleanly(method):
+    def grow(start, n=10):
+        return generate(GeneratorConfig(n=n, seed=0, method=f"{method}:{start}"))
+
+    with pytest.raises(GenerationError, match="outside the class"):
+        grow("C~")  # K4
+    with pytest.raises(GenerationError, match="0 vertices"):
+        grow("?")
+    with pytest.raises(GenerationError, match="6 vertices, target n=5"):
+        grow("W5", n=5)
+    with pytest.raises(GraphFormatError):
+        grow("Bww")
