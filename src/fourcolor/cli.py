@@ -78,6 +78,10 @@ def _load_assignment(path: str, n: int) -> Coloring:
             v, c = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise GraphFormatError(f"bad assignment line {line!r}") from exc
+        if v in rows:
+            raise GraphFormatError(f"vertex {v} is assigned twice")
+        if c < 1:
+            raise GraphFormatError(f"vertex {v} has color {c}; colors start at 1")
         rows[v] = c
     if sorted(rows) != list(range(n)):
         raise GraphFormatError(f"assignment does not cover vertices 0..{n - 1}")

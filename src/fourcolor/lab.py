@@ -10,13 +10,12 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, replace
-from itertools import combinations, permutations
 from typing import Iterator
 
 from .coloring import Coloring
 from .errors import GenerationError, GraphFormatError, NotInClass, SizeGuardExceeded
 from .graph import Graph, bits, complement, cycle, empty, emit_graph6, parse_graph6
-from .patterns import PATTERNS, certify_class, find_induced
+from .patterns import PATTERNS, _2p2_through, _k4_through, certify_class
 
 CHI_GUARD = 24
 OMEGA_GUARD = 40
@@ -316,11 +315,12 @@ def _coin_mask(rng: random.Random, vertices, p: float) -> int:
 def _grow(rng: random.Random, g: Graph, n: int, forbidden, draw) -> Graph:
     """Add vertices until g has n, each with neighborhood `draw(g)` if one of
     `_GROWTH_TRIES` draws keeps g in the class, else as a twin."""
+    k4, two_p2 = "K4" in forbidden, "2P2" in forbidden
     while g.n < n:
         for _ in range(_GROWTH_TRIES):
-            cand = g.add_vertex(draw(g))
-            if all(find_induced(cand, pat, containing=g.n) is None for pat in forbidden):
-                g = cand
+            nb = draw(g)
+            if not (k4 and _k4_through(g.rows, nb) or two_p2 and _2p2_through(g.rows, nb, (1 << g.n) - 1)):
+                g = g.add_vertex(nb)
                 break
         else:
             # Duplicating a vertex as a nonadjacent twin never creates a new
@@ -371,58 +371,35 @@ def generate(config: GeneratorConfig) -> Graph:
 # -- exhaustive labeled enumeration ------------------------------------------------
 
 
-def _labeled_variants(pattern_name: str) -> set[frozenset[tuple[int, int]]]:
-    model = PATTERNS[pattern_name].model
-    base = list(model.edges())
-    variants = set()
-    for perm in permutations(range(model.n)):
-        variants.add(
-            frozenset(tuple(sorted((perm[i], perm[j]))) for i, j in base)
-        )
-    return variants
+def enumerate_class_members(n: int) -> Iterator[Graph]:
+    """All labeled (2P2, K4)-free graphs on n vertices, in increasing order of
+    their edge mask, whose bit i is the i-th pair of combinations(range(n), 2).
 
-
-def enumerate_class_members(n: int, forbidden=("2P2", "K4")) -> Iterator[Graph]:
-    """All labeled graphs on n vertices avoiding the forbidden patterns.
-
-    Vectorized subset filtering; guarded at n <= 8 (2^28 edge sets, chunked).
+    Vertices are added n-1, n-2, ..., 0, each with its neighborhood among the
+    higher vertices in increasing order; those pairs hold the high bits of the
+    edge mask. A branch stops when the new vertex is in a 2P2 or K4, which
+    loses no member because the class is hereditary. Guarded at n <= 8.
     """
     if n > 8:
         raise SizeGuardExceeded(f"exhaustive enumeration guarded at n<=8, got n={n}")
-    import numpy as np
+    rows = [0] * n
 
-    pairs = list(combinations(range(n), 2))
-    pos = {pair: i for i, pair in enumerate(pairs)}
-    tests: list[tuple[int, int]] = []
-    for pname in forbidden:
-        model = PATTERNS[pname].model
-        k = model.n
-        if k > n:
-            continue
-        variants = sorted(_labeled_variants(pname), key=sorted)
-        for sub in combinations(range(n), k):
-            submask = 0
-            for i in range(k):
-                for j in range(i + 1, k):
-                    submask |= 1 << pos[(sub[i], sub[j])]
-            for variant in variants:
-                patmask = 0
-                for i, j in variant:
-                    a, b = sorted((sub[i], sub[j]))
-                    patmask |= 1 << pos[(a, b)]
-                tests.append((submask, patmask))
-    total = 1 << len(pairs)
-    chunk = 1 << 22
-    for lo in range(0, total, chunk):
-        hi = min(total, lo + chunk)
-        arr = np.arange(lo, hi, dtype=np.int64)
-        ok = np.ones(hi - lo, dtype=bool)
-        for submask, patmask in tests:
-            ok &= (arr & submask) != patmask
-        for m in arr[ok]:
-            mask = int(m)
-            edges = [pairs[i] for i in bits(mask)]
-            yield Graph.from_edges(n, edges)
+    def extend(u: int) -> Iterator[Graph]:
+        if u < 0:
+            yield Graph(n, tuple(rows))
+            return
+        higher = ((1 << n) - 1) >> (u + 1) << (u + 1)
+        for nb in range(0, higher + 1, 1 << (u + 1)):
+            if _k4_through(rows, nb) or _2p2_through(rows, nb, higher):
+                continue
+            rows[u] = nb
+            for v in bits(nb):
+                rows[v] |= 1 << u
+            yield from extend(u - 1)
+            for v in bits(nb):
+                rows[v] ^= 1 << u
+
+    yield from extend(n - 1)
 
 
 # -- structured random families -----------------------------------------------------

@@ -5,12 +5,14 @@ pattern vertex, so downstream decompositions know e.g. which cycle vertex is
 "1" and which vertex is the apex. Absence of a witness certifies freeness
 because the backtracking is exhaustive.
 
-Class certification for the four-vertex patterns uses per-edge neighborhood
-tests instead: a graph has an induced K4 iff the common neighborhood of some
-edge holds an edge, and an induced 2P2 iff the common non-neighborhood of
-some edge does; C4 and 4P1 are the same tests on the complement. The
-role-ordered search then runs only to build the witness of a pattern the
-tests found.
+Class certification for the four-vertex patterns uses per-vertex tests
+instead: a vertex with neighborhood N is in an induced K4 iff N holds a
+triangle, and in an induced 2P2 iff some neighbor v has an edge among the
+vertices that see neither v nor it. A graph holds the pattern iff some
+vertex does together with vertices above it; C4 and 4P1 are the same tests
+on the complement. The role-ordered search then runs only to build the
+witness of a pattern the tests found. The same two tests decide each
+vertex added by `lab`'s growth and exhaustive enumeration.
 
 The tests run on the false-twin quotient of the rows they read: one vertex
 per distinct neighborhood. Two false twins (nonadjacent, same neighborhood)
@@ -27,7 +29,7 @@ cost of their quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .graph import Graph, bits, complement, complete, cycle, empty
 
@@ -166,33 +168,48 @@ def _false_twin_quotient(rows: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(r & keep if (keep >> v) & 1 else 0 for v, r in enumerate(rows))
 
 
+def _k4_through(rows: Sequence[int], nb: int) -> bool:
+    """A vertex adjacent to exactly `nb` is in a K4: `nb` holds a triangle."""
+    for v in bits(nb):
+        common = nb & rows[v] >> (v + 1) << (v + 1)
+        for x in bits(common):
+            if rows[x] & common:
+                return True
+    return False
+
+
+def _2p2_through(rows: Sequence[int], nb: int, mask: int) -> bool:
+    """A vertex adjacent to exactly `nb`, added to the vertices of `mask`, is
+    in a 2P2: some neighbor v has an edge inside the part of `mask` that
+    sees neither v nor the new vertex."""
+    for v in bits(nb):
+        far = mask & ~nb & ~rows[v] & ~(1 << v)
+        for x in bits(far):
+            if rows[x] & far:
+                return True
+    return False
+
+
 def _has_k4(rows: tuple[int, ...]) -> bool:
-    """Some edge's common neighborhood holds an edge. Each 4-set is tested
-    once, from the edge of its two lowest vertices."""
+    """Some vertex's upper neighborhood holds a triangle: each 4-set is
+    tested once, from its lowest vertex."""
     for u, ru in enumerate(rows):
-        above = ru >> (u + 1) << (u + 1)
-        for v in bits(above):
-            common = above & rows[v] >> (v + 1) << (v + 1)
-            for x in bits(common):
-                if rows[x] & common:
-                    return True
+        if _k4_through(rows, ru >> (u + 1) << (u + 1)):
+            return True
     return False
 
 
 def _has_2p2(rows: tuple[int, ...]) -> bool:
-    """Some edge's common non-neighborhood holds an edge. Each 4-set is
-    tested from its lowest vertex u, through the edges uv with v above u.
-    Only vertices with a neighbor can be in a 2P2."""
+    """Some vertex u is in a 2P2 with vertices above u: each 4-set is tested
+    once, from its lowest vertex. Only vertices with a neighbor can be in a
+    2P2."""
     full = 0
     for r in rows:
         full |= r
     for u, ru in enumerate(rows):
         later = full >> (u + 1) << (u + 1)
-        for v in bits(ru & later):
-            far = later & ~ru & ~rows[v] & ~(1 << v)
-            for x in bits(far):
-                if rows[x] & far:
-                    return True
+        if _2p2_through(rows, ru & later, later):
+            return True
     return False
 
 

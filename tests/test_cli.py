@@ -88,6 +88,25 @@ def test_verify_roundtrip(tmp_path):
     assert out == "ok=false edge=0,1\n"
 
 
+def test_verify_rejects_a_vertex_assigned_twice(tmp_path):
+    # The first line clashes with vertex 1; the second must not hide it.
+    twice = tmp_path / "twice.txt"
+    twice.write_text("0 1\n0 2\n1 1\n")
+    code, out = run_cli(["verify", "--in", "A_", "--assignment", str(twice)])
+    assert code == 2 and out == ""
+
+
+def test_verify_rejects_a_color_below_one(tmp_path):
+    negative = tmp_path / "negative.txt"
+    negative.write_text("0 1\n1 -3\n")
+    code, out = run_cli(["verify", "--in", "A_", "--assignment", str(negative)])
+    assert code == 2 and out == ""
+    zero = tmp_path / "zero.txt"
+    zero.write_text("0 0\n1 1\n")
+    code, out = run_cli(["verify", "--in", "A_", "--assignment", str(zero)])
+    assert code == 2 and out == ""
+
+
 def test_verify_missing_assignment_is_usage_error():
     code, _ = run_cli(["verify", "--in", W5_G6, "--assignment", "/nonexistent/file"])
     assert code == 2

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
+import fourcolor
 from conftest import naive_chromatic, naive_find_induced, naive_is_k_colorable, random_graph
 from fourcolor import (
     GenerationError,
@@ -11,6 +16,7 @@ from fourcolor import (
     GraphFormatError,
     NotInClass,
     SizeGuardExceeded,
+    bits,
     certify_class,
     complement,
     complete,
@@ -137,16 +143,31 @@ def test_generate_rejects_unknown_class():
 
 
 def test_enumerate_class_members_matches_naive_filter():
-    for n in (3, 4, 5):
-        expected = 0
-        for mask in range(1 << (n * (n - 1) // 2)):
-            pairs = list(combinations(range(n), 2))
-            edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
-            g = Graph.from_edges(n, edges)
+    # The naive filter taken in edge-mask order, bit i for the i-th pair.
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        expected = []
+        for mask in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [pairs[i] for i in bits(mask)])
             if naive_find_induced(g, "2P2") is None and naive_find_induced(g, "K4") is None:
-                expected += 1
-        got = sum(1 for _ in enumerate_class_members(n))
-        assert got == expected
+                expected.append(g.rows)
+        assert [g.rows for g in enumerate_class_members(n)] == expected
+
+
+def test_enumeration_and_generation_do_not_import_numpy():
+    script = (
+        "import sys\n"
+        "from fourcolor.lab import GeneratorConfig, enumerate_class_members, generate\n"
+        "for n in range(7):\n"
+        "    for g in enumerate_class_members(n):\n"
+        "        pass\n"
+        "generate(GeneratorConfig(n=40, seed=1, method='planted:HCrfdxz'))\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    # The package has no dependency, so its own source directory is the whole path it needs.
+    env = dict(os.environ, PYTHONPATH=str(Path(fourcolor.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_enumerated_members_are_4_colorable():

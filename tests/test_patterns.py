@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import all_labelled_graphs, graphs, large_graphs, naive_find_induced, random_graph
 from fourcolor import (
@@ -17,7 +18,7 @@ from fourcolor import (
     path,
 )
 from fourcolor.lab import c5_blowup, construction
-from fourcolor.patterns import _false_twin_quotient
+from fourcolor.patterns import _2p2_through, _false_twin_quotient, _k4_through
 
 
 def test_pattern_models_match_their_definitions():
@@ -152,6 +153,17 @@ def test_certify_class_matches_the_search_on_every_small_graph():
 def test_certify_class_matches_the_search_on_larger_graphs(g):
     for forbidden in FORBIDDEN_SETS:
         assert certify_class(g, forbidden) == reference_certify(g, forbidden)
+
+
+@given(large_graphs(max_n=30), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_vertex_tests_match_the_search_through_a_new_vertex(g, rng):
+    full = (1 << g.n) - 1
+    for p in (0.05, 0.2, 0.5, 0.9):
+        nb = sum(1 << v for v in range(g.n) if rng.random() < p)
+        grown = g.add_vertex(nb)
+        assert _k4_through(g.rows, nb) == (find_induced(grown, "K4", containing=g.n) is not None)
+        assert _2p2_through(g.rows, nb, full) == (find_induced(grown, "2P2", containing=g.n) is not None)
 
 
 @given(graphs(max_n=8))
