@@ -1,21 +1,26 @@
 """The constructive 4-coloring pipeline.
 
-Pipeline: validate class membership, strip comparable vertices, split into
-components, then color each component by structural case analysis around an
-anchor (seven-vertex ring anchor, apex anchor, hub anchor, bare five-cycle),
-falling back to bounded backtracking when no five-cycle exists. Every color
-class a case emits is asserted independent before it is accepted, so a
-transcription error in a case table surfaces as InternalCaseFailure rather
-than as a bad coloring.
+Pipeline: validate class membership, strip comparable vertices, then color
+the core by structural case analysis around an anchor (seven-vertex ring
+anchor, apex anchor, hub anchor, bare five-cycle), falling back to bounded
+backtracking when no five-cycle exists. The core is one connected graph: an
+isolated core vertex would be dominated by any other, and two components with
+edges would hold an induced 2P2. So one dispatch colors it, and each case
+colorer returns its coloring with the one TraceRecord that names its leaf.
+Every color class a case emits is asserted independent before it is accepted,
+so a transcription error in a case table surfaces as InternalCaseFailure
+rather than as a bad coloring.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from .errors import InternalCaseFailure, NotInClass
-from .graph import Graph, bits, connected_components, induced_subgraph, lowest
+# connected_components and induced_subgraph stay names of this module:
+# bench/spans.py wraps coloring.connected_components and coloring.induced_subgraph.
+from .graph import Graph, bits, connected_components, induced_subgraph, lowest  # noqa: F401
 from .patterns import Witness, certify_class, find_induced
 from .reduction import reduce_to_core, reinsert_colors
 from .structure import (
@@ -45,10 +50,14 @@ class Coloring:
 
 @dataclass(frozen=True)
 class TraceRecord:
-    lemma: str
     case: str
     predicates: tuple[tuple[str, bool], ...]
     anchor: tuple[int, ...]
+
+    @property
+    def lemma(self) -> str:
+        """The case's first path segment: h1, h2, w5, c5 or fallback."""
+        return self.case.split("/", 1)[0]
 
     def line(self) -> str:
         preds = " ".join(f"predicate={name}:{str(val).lower()}" for name, val in self.predicates)
@@ -63,17 +72,6 @@ class TraceRecord:
 @dataclass
 class CaseTrace:
     records: list[TraceRecord] = field(default_factory=list)
-
-    def add(self, lemma: str, case: str, predicates, anchor, label=None) -> None:
-        label = label or (lambda v: v)
-        self.records.append(
-            TraceRecord(
-                lemma,
-                case,
-                tuple((name, bool(val)) for name, val in predicates),
-                tuple(label(v) for v in anchor),
-            )
-        )
 
     def lines(self) -> list[str]:
         return [r.line() for r in self.records]
@@ -199,7 +197,7 @@ def _h1_normalize(g: Graph, part: H1Partition, preds: list) -> H1Partition:
     return part
 
 
-def color_h1_case(g: Graph, part: H1Partition, trace: CaseTrace | None = None, label=None) -> Coloring:
+def color_h1_case(g: Graph, part: H1Partition) -> tuple[Coloring, TraceRecord]:
     """4-coloring when a best ring anchor exists.
 
     Expects a connected graph with no comparable pair, free of induced 2P2
@@ -220,9 +218,7 @@ def color_h1_case(g: Graph, part: H1Partition, trace: CaseTrace | None = None, l
         case, parts = _h1_case_f45_only(g, part, preds, side_d)
     else:
         case, parts = _h1_case_f12_only(g, part, preds, side_d)
-    if trace is not None:
-        trace.add("h1", case, preds, part.anchor, label)
-    return _emit(g, case, parts)
+    return _emit(g, case, parts), TraceRecord(case, tuple(preds), part.anchor)
 
 
 def _h1_case_both(g, part, preds, side_d):
@@ -541,16 +537,12 @@ def _h2_body(g: Graph, part: C5Partition, apex: int, preds: list) -> _Classes:
     return _h2_case_apex_r5(g, part, apex, Rp, Rpp, preds)
 
 
-def color_h2_case(
-    g: Graph, witness: Witness, part: C5Partition, trace: CaseTrace | None = None, label=None
-) -> Coloring:
+def color_h2_case(g: Graph, witness: Witness, part: C5Partition) -> tuple[Coloring, TraceRecord]:
     """4-coloring when a best apex anchor exists (ring-anchor-free graph)."""
     apex = witness.vertices[5]
     preds: list[tuple[str, bool]] = []
     classes = _h2_body(g, part, apex, preds)
-    if trace is not None:
-        trace.add("h2", classes.case, preds, part.cycle + (apex,), label)
-    return classes.finish()
+    return classes.finish(), TraceRecord(classes.case, tuple(preds), part.cycle + (apex,))
 
 
 def _h2_fit_z(g, part, y4, cls: _Classes, alone: int, spread: tuple[int, ...], preds) -> bool:
@@ -669,7 +661,7 @@ def _h2_case_apex_r5(g, part, apex, Rp, Rpp, preds):
 # -- hub anchor ----------------------------------------------------------------------
 
 
-def color_w5_case(g: Graph, part: C5Partition, trace: CaseTrace | None = None, label=None) -> Coloring:
+def color_w5_case(g: Graph, part: C5Partition) -> tuple[Coloring, TraceRecord]:
     """4-coloring when a hub vertex is complete to a five-cycle."""
     c, R, Y, F, Z, U = _singletons(part.cycle), part.R, part.Y, part.F, part.Z, part.U
     if not U:
@@ -677,9 +669,7 @@ def color_w5_case(g: Graph, part: C5Partition, trace: CaseTrace | None = None, l
     for i in range(5):
         if F[i]:
             raise InternalCaseFailure("w5/setup", f"apex strip F[{i}] not empty", (lowest(F[i]),))
-    if trace is not None:
-        trace.add("w5", "w5/hub", [], part.cycle + (lowest(U),), label)
-    return _emit(
+    col = _emit(
         g,
         "w5/hub",
         [
@@ -689,12 +679,13 @@ def color_w5_case(g: Graph, part: C5Partition, trace: CaseTrace | None = None, l
             Y[1] | Y[4] | U,
         ],
     )
+    return col, TraceRecord("w5/hub", (), part.cycle + (lowest(U),))
 
 
 # -- bare five-cycle -----------------------------------------------------------------
 
 
-def color_c5_case(g: Graph, part: C5Partition, trace: CaseTrace | None = None, label=None) -> Coloring:
+def color_c5_case(g: Graph, part: C5Partition) -> tuple[Coloring, TraceRecord]:
     """4-coloring when only a bare five-cycle anchor is available."""
     preds: list[tuple[str, bool]] = []
     if part.U:
@@ -739,15 +730,13 @@ def color_c5_case(g: Graph, part: C5Partition, trace: CaseTrace | None = None, l
             cls.place(z, (2, 3))
         else:
             cls.place(z, (0, 1))
-    if trace is not None:
-        trace.add("c5", case, preds, part.cycle, label)
-    return cls.finish()
+    return cls.finish(), TraceRecord(case, tuple(preds), part.cycle)
 
 
 # -- cycle-free fallback ----------------------------------------------------------------
 
 
-def color_fallback(g: Graph, trace: CaseTrace | None = None, label=None) -> Coloring:
+def color_fallback(g: Graph) -> tuple[Coloring, TraceRecord]:
     """Exhaustive 4-coloring search for five-cycle-free class members.
 
     Saturation-degree vertex order with lowest-index tie-break. Success is
@@ -756,16 +745,17 @@ def color_fallback(g: Graph, trace: CaseTrace | None = None, label=None) -> Colo
     w = find_induced(g, "C5")
     if w is not None:
         raise ValueError(f"fallback requires a five-cycle-free graph; found {w.vertices}")
-    return _fallback_search(g, trace, label)
+    return _fallback_search(g)
 
 
-def _fallback_search(g: Graph, trace: CaseTrace | None, label) -> Coloring:
+_FALLBACK_RECORD = TraceRecord("fallback/search", (), ())
+
+
+def _fallback_search(g: Graph) -> tuple[Coloring, TraceRecord]:
     """color_fallback past its five-cycle guard, for a graph already searched."""
     n = g.n
     if n == 0:
-        if trace is not None:
-            trace.add("fallback", "fallback/search", [], (), label)
-        return Coloring((), 0)
+        return Coloring((), 0), _FALLBACK_RECORD
     colors = [0] * n
     forbidden = [0] * n  # bitmask over colors 0..3
 
@@ -808,32 +798,32 @@ def _fallback_search(g: Graph, trace: CaseTrace | None, label) -> Coloring:
         raise InternalCaseFailure("fallback", "4-color search exhausted")
     used = sorted(set(colors))
     remap = {c: i + 1 for i, c in enumerate(used)}
-    if trace is not None:
-        trace.add("fallback", "fallback/search", [], (), label)
-    return Coloring(tuple(remap[c] for c in colors), len(used))
+    return Coloring(tuple(remap[c] for c in colors), len(used)), _FALLBACK_RECORD
 
 
 # -- pipeline ------------------------------------------------------------------------------
 
 
-def _color_component(sub: Graph, trace: CaseTrace | None, label) -> Coloring:
-    h1 = select_best_h1(sub)
+def _color_core(core: Graph) -> tuple[Coloring, TraceRecord]:
+    """One dispatch over the anchors, on a connected core with no comparable
+    pair."""
+    h1 = select_best_h1(core)
     if h1 is not None:
         _, part = h1
-        return color_h1_case(sub, part, trace, label)
-    h2 = select_best_h2(sub)
+        return color_h1_case(core, part)
+    h2 = select_best_h2(core)
     if h2 is not None:
         witness, part = h2
-        return color_h2_case(sub, witness, part, trace, label)
-    w5 = find_induced(sub, "W5")
+        return color_h2_case(core, witness, part)
+    w5 = find_induced(core, "W5")
     if w5 is not None:
-        part = c5_partition(sub, w5.vertices[:5])
-        return color_w5_case(sub, part, trace, label)
-    c5 = find_induced(sub, "C5")
+        part = c5_partition(core, w5.vertices[:5])
+        return color_w5_case(core, part)
+    c5 = find_induced(core, "C5")
     if c5 is not None:
-        part = c5_partition(sub, c5.vertices)
-        return color_c5_case(sub, part, trace, label)
-    return _fallback_search(sub, trace, label)
+        part = c5_partition(core, c5.vertices)
+        return color_c5_case(core, part)
+    return _fallback_search(core)
 
 
 def four_color(g: Graph) -> tuple[Coloring, CaseTrace]:
@@ -853,16 +843,11 @@ def _color_member(g: Graph) -> tuple[Coloring, CaseTrace]:
     (2P2, K4)-free."""
     trace = CaseTrace()
     core, rtrace = reduce_to_core(g)
-    colors = [0] * core.n
-    k = 0
-    for comp in connected_components(core):
-        sub, mapping = induced_subgraph(core, comp)
-        label = lambda v, m=mapping: rtrace.core_vertices[m[v]]
-        col = _color_component(sub, trace, label)
-        for local, core_v in enumerate(mapping):
-            colors[core_v] = col.colors[local]
-        k = max(k, col.k)
-    full = reinsert_colors(g, Coloring(tuple(colors), k), rtrace)
+    col = Coloring((), 0)
+    if core.n:
+        col, rec = _color_core(core)
+        trace.records.append(replace(rec, anchor=tuple(rtrace.core_vertices[v] for v in rec.anchor)))
+    full = reinsert_colors(g, col, rtrace)
     bad = verify_coloring(g, full)
     if bad is not None:
         raise InternalCaseFailure("pipeline", "final verification failed", bad)

@@ -15,7 +15,7 @@ from typing import Callable
 
 from .approx import approx_color, chordal_color, is_chordal
 from .coloring import color_fallback, four_color, verify_coloring
-from .graph import Graph, bits, connected_components, induced_subgraph, parse_graph6
+from .graph import Graph, bits, induced_subgraph, parse_graph6
 from .lab import (
     GeneratorConfig,
     clique_number,
@@ -76,15 +76,6 @@ def _find_odd_hole(g: Graph) -> tuple[int, ...] | None:
                 stack.extend(bits(grow))
             if seen == mask:
                 return sub
-    return None
-
-
-def _core_component_with(g: Graph, pattern: str) -> Graph | None:
-    core, _ = reduce_to_core(g)
-    for comp in connected_components(core):
-        sub, _ = induced_subgraph(core, comp)
-        if find_induced(sub, pattern) is not None:
-            return sub
     return None
 
 
@@ -213,11 +204,11 @@ def crit_anchor_structure() -> tuple[bool, str]:
             n=9 + seed % 6, seed=30_000 + seed, p=0.22 + 0.04 * (seed % 5), method="incremental:H1"
         )
         seed += 1
-        sub = _core_component_with(generate(cfg), "H1")
-        if sub is None:
+        core, _ = reduce_to_core(generate(cfg))
+        if find_induced(core, "H1") is None:
             continue
-        _, part = select_best_h1(sub)
-        report = check_h1_properties(sub, part)
+        _, part = select_best_h1(core)
+        report = check_h1_properties(core, part)
         if not report.ok:
             bad = report.failures()[0]
             return False, f"ring seed={cfg.seed}: {bad.prop} fails at {bad.counterexample}"
@@ -236,12 +227,11 @@ def crit_anchor_structure() -> tuple[bool, str]:
             method="incremental:H2-core" if seed % 2 else "incremental:H2",
         )
         seed += 1
-        sub = _core_component_with(generate(cfg), "H2")
-        if sub is None or find_induced(sub, "H1") is not None:
+        core, _ = reduce_to_core(generate(cfg))
+        if find_induced(core, "H2") is None or find_induced(core, "H1") is not None:
             continue
-        best = select_best_h2(sub)
-        witness, part = best
-        report = check_h2_properties(sub, part, witness.vertices[5])
+        witness, part = select_best_h2(core)
+        report = check_h2_properties(core, part, witness.vertices[5])
         if not report.ok:
             bad = report.failures()[0]
             return False, f"apex seed={cfg.seed}: {bad.prop} fails at {bad.counterexample}"
@@ -315,11 +305,12 @@ def crit_fallback_justification() -> tuple[bool, str]:
     checked = 0
     for n in range(1, 8):
         for g in enumerate_class_members(n):
-            if find_induced(g, "C5") is not None:
+            try:
+                col, _ = color_fallback(g)
+            except ValueError:  # the guard found a five-cycle
                 continue
             if _find_odd_hole(g) is not None:
                 return False, f"exhaustive n={n}: odd hole in a five-cycle-free member"
-            col = color_fallback(g)
             if verify_coloring(g, col) is not None or col.k > 4:
                 return False, f"exhaustive n={n}: fallback failed"
             checked += 1
@@ -329,11 +320,12 @@ def crit_fallback_justification() -> tuple[bool, str]:
             n=8 + seed % 3, seed=10_000 + seed, p=0.25 + 0.05 * (seed % 6), method="incremental"
         )
         g = generate(cfg)
-        if find_induced(g, "C5") is not None:
+        try:
+            col, _ = color_fallback(g)
+        except ValueError:  # the guard found a five-cycle
             continue
         if _find_odd_hole(g) is not None:
             return False, f"sampled seed={cfg.seed}: odd hole in a five-cycle-free member"
-        col = color_fallback(g)
         if verify_coloring(g, col) is not None or col.k > 4:
             return False, f"sampled seed={cfg.seed}: fallback failed"
         sampled += 1

@@ -28,7 +28,7 @@ from fourcolor import (
     select_best_h2,
     verify_coloring,
 )
-from fourcolor.lab import GeneratorConfig, c5_blowup, construction, generate
+from fourcolor.lab import GeneratorConfig, c5_blowup, construction, enumerate_class_members, generate
 from test_structure import h1_with_plants
 
 # -- plant helper around a five-cycle anchor -----------------------------------
@@ -83,22 +83,19 @@ def _run_h1(plants, extra_edges=()):
     # Pin the identity anchor so each planted strip lands in a known slot;
     # anchor re-selection has its own tests.
     from fourcolor import h1_partition
-    from fourcolor.coloring import CaseTrace
 
     g = h1_with_plants(plants, extra_edges)
     assert certify_class(g, ("2P2", "K4")) is None, "planted graph left the class"
     part = h1_partition(g, tuple(range(7)))
-    trace = CaseTrace()
-    col = color_h1_case(g, part, trace)
+    col, rec = color_h1_case(g, part)
     _assert_proper(g, col)
-    return trace.records[-1].case
+    return rec.case
 
 
 def _run_h2(plants, extra_edges=()):
     # Pin the anchor: the apex plant must sit at ("F", 4) so the base cycle is
     # already in apex-misses-role-4 position.
     from fourcolor import Witness, matches_pattern
-    from fourcolor.coloring import CaseTrace
 
     assert plants[0] == ("F", 4)
     g = c5_with_plants(plants, extra_edges)
@@ -107,10 +104,9 @@ def _run_h2(plants, extra_edges=()):
     witness = Witness("H2", (4, 0, 1, 2, 3, 5))
     assert matches_pattern(g, witness)
     part = c5_partition(g, tuple(range(5)))
-    trace = CaseTrace()
-    col = color_h2_case(g, witness, part, trace)
+    col, rec = color_h2_case(g, witness, part)
     _assert_proper(g, col)
-    return trace.records[-1].case
+    return rec.case
 
 
 # -- pipeline basics ---------------------------------------------------------------
@@ -159,6 +155,13 @@ def test_four_color_blowup_reduces_and_reinserts():
     assert naive_chromatic(g) == 3  # using four colors here is allowed, three is not required
 
 
+def test_four_color_traces_exactly_one_case_per_member():
+    for n in range(1, 7):
+        for g in enumerate_class_members(n):
+            _, trace = four_color(g)
+            assert len(trace.records) == 1, g.rows
+
+
 def test_dispatch_exclusivity():
     w5 = construction("W5")
     _, trace = four_color(w5)
@@ -204,13 +207,14 @@ def test_verify_coloring_matches_the_edge_loop(g, k, rng):
 
 def test_fallback_small_cases():
     k3 = complete(3)
-    col = color_fallback(k3)
+    col, rec = color_fallback(k3)
     _assert_proper(k3, col)
     assert col.k == 3
+    assert rec.line() == "lemma=fallback case=fallback/search anchor="
     one = Graph.from_edges(1)
-    assert color_fallback(one).k == 1
+    assert color_fallback(one)[0].k == 1
     c7bar = construction("C7-complement")
-    col = color_fallback(c7bar)
+    col, _ = color_fallback(c7bar)
     _assert_proper(c7bar, col)
     assert col.k == 4
 
@@ -218,7 +222,7 @@ def test_fallback_small_cases():
 def test_fallback_search_is_not_bounded_by_recursion_depth():
     from fourcolor import empty
 
-    assert color_fallback(empty(1100)).k == 1
+    assert color_fallback(empty(1100))[0].k == 1
 
 
 def test_fallback_rejects_five_cycles():
@@ -338,12 +342,9 @@ def test_h1_with_t_and_w_strips():
 def test_h2_bare_model_case():
     h2 = PATTERNS["H2"].model
     witness, part = select_best_h2(h2)
-    from fourcolor.coloring import CaseTrace
-
-    trace = CaseTrace()
-    col = color_h2_case(h2, witness, part, trace)
+    col, rec = color_h2_case(h2, witness, part)
     _assert_proper(h2, col)
-    assert trace.records[-1].case == "h2/apexfree"
+    assert rec.case == "h2/apexfree"
 
 
 def test_h2_hubbed_cases():
@@ -391,14 +392,12 @@ def test_h2_apexfree_rebuilt_mechanics():
     g = c5_with_plants(plants, extra)
     assert certify_class(g, ("2P2", "K4")) is None
     from fourcolor import Witness, matches_pattern
-    from fourcolor.coloring import CaseTrace
 
     witness = Witness("H2", (4, 0, 1, 2, 3, 5))
     assert matches_pattern(g, witness)
-    trace = CaseTrace()
-    col = color_h2_case(g, witness, c5_partition(g, tuple(range(5))), trace)
+    col, rec = color_h2_case(g, witness, c5_partition(g, tuple(range(5))))
     _assert_proper(g, col)
-    assert trace.records[-1].case == "h2/apexfree/rebuilt"
+    assert rec.case == "h2/apexfree/rebuilt"
     # the same graph routes through a different anchor in the pipeline
     col2, _ = four_color(g)
     _assert_proper(g, col2)
@@ -407,7 +406,6 @@ def test_h2_apexfree_rebuilt_mechanics():
 def test_h2_case_partitions_only_to_mirror(monkeypatch):
     import fourcolor.coloring as coloring
     from fourcolor import Witness
-    from fourcolor.coloring import CaseTrace
 
     real = coloring.c5_partition
     calls = []
@@ -419,9 +417,9 @@ def test_h2_case_partitions_only_to_mirror(monkeypatch):
     ):
         calls.clear()
         g = c5_with_plants(plants)
-        trace = CaseTrace()
-        _assert_proper(g, color_h2_case(g, witness, real(g, tuple(range(5))), trace))
-        assert trace.records[-1].case == case
+        col, rec = color_h2_case(g, witness, real(g, tuple(range(5))))
+        _assert_proper(g, col)
+        assert rec.case == case
         assert len(calls) == mirrors
 
 
@@ -430,8 +428,9 @@ def test_h2_case_partitions_only_to_mirror(monkeypatch):
 
 def test_w5_with_satellites():
     w5 = construction("W5")
-    col = color_w5_case(w5, c5_partition(w5, tuple(range(5))))
+    col, rec = color_w5_case(w5, c5_partition(w5, tuple(range(5))))
     _assert_proper(w5, col)
+    assert rec.line() == "lemma=w5 case=w5/hub anchor=0,1,2,3,4,5"
     assert col.k == 4
     assert sorted(col.colors).count(col.colors[5]) == 1  # hub gets its own class here
 
@@ -443,8 +442,9 @@ def test_w5_with_satellites():
 
 def test_c5_case_spread_and_blowup():
     c5 = cycle(5)
-    col = color_c5_case(c5, c5_partition(c5, tuple(range(5))))
+    col, rec = color_c5_case(c5, c5_partition(c5, tuple(range(5))))
     _assert_proper(c5, col)
+    assert rec.case == "c5/spread"
 
     g = c5_with_plants([("R", 0), ("Y", 1), ("Z", 0)], extra_edges=[(6, 7)])
     if certify_class(g, ("2P2", "K4")) is None and find_induced(g, "H1") is None:
@@ -471,12 +471,9 @@ def test_c5_case_crowded_branch_mechanics():
     plants = [("Y", 0), ("Y", 1), ("Y", 2), ("Y", 3), ("Z", 0)]
     extra = [(9, 5), (9, 6), (9, 7), (9, 8)]
     g = c5_with_plants(plants, extra)
-    from fourcolor.coloring import CaseTrace
-
-    trace = CaseTrace()
-    col = color_c5_case(g, c5_partition(g, tuple(range(5))), trace)
+    col, rec = color_c5_case(g, c5_partition(g, tuple(range(5))))
     _assert_proper(g, col)
-    assert trace.records[-1].case == "c5/crowded"
+    assert rec.case == "c5/crowded"
 
 
 # -- randomized agreement ------------------------------------------------------------

@@ -34,7 +34,6 @@ from fourcolor import (
     select_best_h2,
 )
 from fourcolor.cli import main
-from fourcolor.coloring import CaseTrace
 from fourcolor.errors import InternalCaseFailure
 from fourcolor.lab import GeneratorConfig, construction, generate
 from test_coloring import c5_with_plants
@@ -129,12 +128,11 @@ def _digest(lines) -> str:
 
 
 def _driven(fn, g, *args):
-    trace = CaseTrace()
     try:
-        col = fn(g, *args, trace)
+        col, rec = fn(g, *args)
     except InternalCaseFailure as exc:
-        return str(exc), trace.lines()
-    return col, trace.lines()
+        return str(exc), []
+    return col, [rec.line()]
 
 
 def _member_lines():

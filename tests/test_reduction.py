@@ -9,7 +9,9 @@ from fourcolor import (
     Coloring,
     ReductionTrace,
     ReinsertionConflict,
+    certify_class,
     complete,
+    connected_components,
     cycle,
     empty,
     find_comparable_pair,
@@ -166,6 +168,14 @@ def test_reduce_to_core_matches_the_rebuild_loop_on_every_small_graph():
         core, trace = reduce_to_core(g)
         ref_core, ref_trace = reference_reduce(g)
         assert core.rows == ref_core.rows and trace == ref_trace, g.rows
+
+
+def test_the_core_of_a_2p2_free_graph_is_connected():
+    # four_color colors the core in one piece: an isolated core vertex would be
+    # dominated by any other, and two components with edges hold an induced 2P2.
+    for g in all_labelled_graphs(6):
+        if certify_class(g, ("2P2",)) is None:
+            assert len(connected_components(reduce_to_core(g)[0])) <= 1, g.rows
 
 
 @given(large_graphs(max_n=30))
