@@ -3,7 +3,9 @@
 Pipeline: validate class membership, strip comparable vertices, then color
 the core by structural case analysis around an anchor (seven-vertex ring
 anchor, apex anchor, hub anchor, bare five-cycle), falling back to bounded
-backtracking when no five-cycle exists. The core is one connected graph: an
+backtracking when no five-cycle exists. Every anchor holds an induced
+five-cycle, so the dispatch searches for one first and sends a core without
+one straight to the fallback. The core is one connected graph: an
 isolated core vertex would be dominated by any other, and two components with
 edges would hold an induced 2P2. So one dispatch colors it, and each case
 colorer returns its coloring with the one TraceRecord that names its leaf.
@@ -26,15 +28,16 @@ from .reduction import reduce_to_core, reinsert_colors
 from .structure import (
     C5Partition,
     H1Partition,
+    C5_ROTATIONS,
     H1_AUTOMORPHISMS,
     H2_CYCLE_REFLECTION,
+    apex_split,
     c5_partition,
     first_cross_edge,
     first_internal_edge,
     first_missing_cross,
     h1_partition,
     permute,
-    rotate_cycle,
     select_best_h1,
     select_best_h2,
 )
@@ -482,19 +485,14 @@ def _h1_case_f12_only(g, part, preds, side_d):
 # -- apex anchor ---------------------------------------------------------------------
 
 
-def _h2_strips(g: Graph, part: C5Partition, apex: int):
-    """(part, R', R''): part with its R strips split by the apex."""
-    frow = g.rows[apex]
-    return part, [r & frow for r in part.R], [r & ~frow for r in part.R]
-
-
 def _h2_mirrored(g: Graph, part: C5Partition, apex: int):
-    """_h2_strips on the reflected cycle, which swaps the two near R strips."""
-    return _h2_strips(g, c5_partition(g, permute(part.cycle, H2_CYCLE_REFLECTION)), apex)
+    """(part, R', R'') on the reflected cycle, which swaps the two near R strips."""
+    part = c5_partition(g, permute(part.cycle, H2_CYCLE_REFLECTION))
+    return (part, *apex_split(g, part, apex))
 
 
 def _h2_body(g: Graph, part: C5Partition, apex: int, preds: list) -> _Classes:
-    part, Rp, Rpp = _h2_strips(g, part, apex)
+    Rp, Rpp = apex_split(g, part, apex)
     c, R, Y, F, Z, U = _singletons(part.cycle), part.R, part.Y, part.F, part.Z, part.U
     for i in range(4):
         if F[i]:
@@ -709,7 +707,7 @@ def color_c5_case(g: Graph, part: C5Partition) -> tuple[Coloring, TraceRecord]:
         # Rotate the strip z misses to Y[4]; with Y[4] empty the placement
         # below puts all of Z (independent, and anti-complete to R) in class 2.
         case = "c5/crowded"
-        part = c5_partition(g, rotate_cycle(part.cycle, (missing + 1) % 5))
+        part = c5_partition(g, permute(part.cycle, C5_ROTATIONS[(missing + 1) % 5]))
         if part.Y[4]:
             raise InternalCaseFailure(case, "rotated far Y strip not empty", (lowest(part.Y[4]),))
     c, R, Y, Z = _singletons(part.cycle), part.R, part.Y, part.Z
@@ -806,24 +804,27 @@ def _fallback_search(g: Graph) -> tuple[Coloring, TraceRecord]:
 
 def _color_core(core: Graph) -> tuple[Coloring, TraceRecord]:
     """One dispatch over the anchors, on a connected core with no comparable
-    pair."""
+    pair.
+
+    Every anchor holds an induced five-cycle: H2 and W5 on their roles 0..4,
+    H1 on ring roles 0, 2, 5, 1 and the hub. So one five-cycle search comes
+    first, and a core without one goes straight to the fallback; otherwise the
+    anchors are tried in order H1, H2, W5, and the bare-cycle case reuses the
+    witness of that first search.
+    """
+    c5 = find_induced(core, "C5")
+    if c5 is None:
+        return _fallback_search(core)
     h1 = select_best_h1(core)
     if h1 is not None:
-        _, part = h1
-        return color_h1_case(core, part)
+        return color_h1_case(core, h1[1])
     h2 = select_best_h2(core)
     if h2 is not None:
-        witness, part = h2
-        return color_h2_case(core, witness, part)
+        return color_h2_case(core, *h2)
     w5 = find_induced(core, "W5")
     if w5 is not None:
-        part = c5_partition(core, w5.vertices[:5])
-        return color_w5_case(core, part)
-    c5 = find_induced(core, "C5")
-    if c5 is not None:
-        part = c5_partition(core, c5.vertices)
-        return color_c5_case(core, part)
-    return _fallback_search(core)
+        return color_w5_case(core, c5_partition(core, w5.vertices[:5]))
+    return color_c5_case(core, c5_partition(core, c5.vertices))
 
 
 def four_color(g: Graph) -> tuple[Coloring, CaseTrace]:

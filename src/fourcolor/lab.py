@@ -26,27 +26,29 @@ WAGON_GUARD = 14
 
 
 def _max_clique(g: Graph) -> list[int]:
+    """Branch and bound, lowest candidate first, with an explicit stack:
+    cands[d] holds the candidates still open at depth d and clique[d] the
+    vertex tried there, so the depth is not bounded by recursion."""
     best: list[int] = []
     rows = g.rows
-    stack: list[int] = []
-
-    def expand(pmask: int) -> None:
-        nonlocal best
-        while pmask:
-            if len(stack) + pmask.bit_count() <= len(best):
-                return
+    clique: list[int] = []
+    cands = [(1 << g.n) - 1]
+    while True:
+        pmask = cands[-1]
+        if pmask and len(clique) + pmask.bit_count() > len(best):
             v = (pmask & -pmask).bit_length() - 1
-            stack.append(v)
+            clique.append(v)
             sub = pmask & rows[v]
             if sub:
-                expand(sub)
-            elif len(stack) > len(best):
-                best = stack[:]
-            stack.pop()
-            pmask &= ~(1 << v)
-
-    expand((1 << g.n) - 1)
-    return best
+                cands.append(sub)
+                continue
+            if len(clique) > len(best):
+                best = clique[:]
+        else:
+            cands.pop()
+            if not cands:
+                return best
+        cands[-1] &= ~(1 << clique.pop())
 
 
 def clique_number(g: Graph, limit: int = OMEGA_GUARD) -> int:
@@ -380,6 +382,8 @@ def enumerate_class_members(n: int) -> Iterator[Graph]:
     edge mask. A branch stops when the new vertex is in a 2P2 or K4, which
     loses no member because the class is hereditary. Guarded at n <= 8.
     """
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
     if n > 8:
         raise SizeGuardExceeded(f"exhaustive enumeration guarded at n<=8, got n={n}")
     rows = [0] * n

@@ -163,6 +163,13 @@ def c5_partition(g: Graph, cycle: Witness | tuple[int, ...]) -> C5Partition:
     return C5Partition(cyc, *_classify(g, cyc[:5], _C5_LAYOUT))
 
 
+def apex_split(g: Graph, part: C5Partition, apex: int) -> tuple[list[int], list[int]]:
+    """(R', R''): the R strips split into the vertices that see the apex and
+    those that miss it."""
+    frow = g.rows[apex]
+    return [r & frow for r in part.R], [r & ~frow for r in part.R]
+
+
 def h1_partition(g: Graph, anchor: Witness | tuple[int, ...]) -> H1Partition:
     """Classify every vertex outside the six-vertex ring of the anchor."""
     anc = tuple(anchor.vertices if isinstance(anchor, Witness) else anchor)
@@ -173,8 +180,9 @@ def h1_partition(g: Graph, anchor: Witness | tuple[int, ...]) -> H1Partition:
 
 # -- anchor symmetries ---------------------------------------------------------
 #
-# Each permutation below is an automorphism of the relevant anchor pattern,
-# recorded as a witness-position table: relabeled[i] = witness[perm[i]].
+# Each permutation below relabels an anchor, recorded as a witness-position
+# table: relabeled[i] = witness[perm[i]]. All but H2_APEX_CYCLE, which reads an
+# H2 witness's cycle as the anchor of its C5Partition, are automorphisms.
 
 H1_AUTOMORPHISMS: tuple[tuple[int, ...], ...] = (
     (0, 1, 2, 3, 4, 5, 6),
@@ -184,74 +192,57 @@ H1_AUTOMORPHISMS: tuple[tuple[int, ...], ...] = (
 )
 
 H2_CYCLE_REFLECTION: tuple[int, ...] = (3, 2, 1, 0, 4)  # swaps roles 0/3 and 1/2
+H2_APEX_CYCLE: tuple[int, ...] = (1, 2, 3, 4, 0)  # the cycle from role 1: the apex misses role 4
+# C5_ROTATIONS[s]: the cycle read from role s.
+C5_ROTATIONS = tuple(tuple((i + s) % 5 for i in range(5)) for s in range(5))
 
 
 def permute(vertices: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(vertices[p] for p in perm)
 
 
-def rotate_cycle(cycle: tuple[int, ...], shift: int) -> tuple[int, ...]:
-    k = len(cycle)
-    return tuple(cycle[(i + shift) % k] for i in range(k))
-
-
 # -- extremal anchor selection ---------------------------------------------------
 
 _H1_TF_PROFILES = tuple(mask_of(roles) for roles in H1_STRIPS["T"] + H1_STRIPS["F"])
+_H2_KEY_PROFILES = (mask_of(C5_STRIPS["U"][0]), mask_of(C5_STRIPS["F"][4]))
+
+
+def _strip_counts(g: Graph, anchor: tuple[int, ...], profiles: tuple[int, ...]) -> tuple[int, ...]:
+    """Per role profile (bit r set iff a vertex sees anchor[r]), the number of
+    vertices outside the anchor with that neighborhood on it."""
+    rows = [g.rows[a] for a in anchor]
+    outside = ((1 << g.n) - 1) & ~mask_of(anchor)
+    counts = []
+    for profile in profiles:
+        m = outside
+        for r, row in enumerate(rows):
+            m &= row if (profile >> r) & 1 else ~row
+        counts.append(m.bit_count())
+    return tuple(counts)
 
 
 def select_best_h1(g: Graph) -> tuple[Witness, H1Partition] | None:
     """Anchor maximizing |T|+|F|, ties by lexicographically smallest witness."""
-    full = (1 << g.n) - 1
-    best_key = None
-    best = None
-    for w in enumerate_induced(g, "H1"):
-        ring_rows = [g.rows[v] for v in w.vertices[:6]]
-        outside = full & ~mask_of(w.vertices)
-        score = 0
-        for profile in _H1_TF_PROFILES:
-            m = outside
-            for r in range(6):
-                m &= ring_rows[r] if (profile >> r) & 1 else full & ~ring_rows[r]
-            score += m.bit_count()
-        key = (-score, w.vertices)
-        if best_key is None or key < best_key:
-            best_key, best = key, w
-    if best is None:
-        return None
-    return best, h1_partition(g, best)
-
-
-def apex_cycle(witness: Witness) -> tuple[int, ...]:
-    """Reanchor an H2 witness so its apex misses exactly cycle role 4."""
-    v = witness.vertices
-    return (v[1], v[2], v[3], v[4], v[0])
+    best = min(
+        enumerate_induced(g, "H1"),
+        key=lambda w: (-sum(_strip_counts(g, w.vertices[:6], _H1_TF_PROFILES)), w.vertices),
+        default=None,
+    )
+    return None if best is None else (best, h1_partition(g, best))
 
 
 def select_best_h2(g: Graph) -> tuple[Witness, C5Partition] | None:
     """Anchor lexicographically minimizing (|U|, |F[4]|), first witness on ties.
 
-    The returned partition is anchored on the witness cycle rotated so that
-    the apex sits in F[4].
+    The returned partition is anchored on the witness cycle permuted by
+    H2_APEX_CYCLE, so that the apex sits in F[4].
     """
-    full = (1 << g.n) - 1
-    best_key = None
-    best = None
-    best_cycle = None
-    for w in enumerate_induced(g, "H2"):
-        cyc = apex_cycle(w)
-        rows = [g.rows[c] for c in cyc]
-        outside = full & ~mask_of(cyc)
-        u_mask = outside
-        for r in rows:
-            u_mask &= r
-        f5_mask = outside & rows[0] & rows[1] & rows[2] & rows[3] & (full & ~rows[4])
-        key = (u_mask.bit_count(), f5_mask.bit_count())
-        if best_key is None or key < best_key:
-            best_key, best, best_cycle = key, w, cyc
-    if best is None:
-        return None
-    return best, c5_partition(g, best_cycle)
+    best = min(
+        enumerate_induced(g, "H2"),
+        key=lambda w: _strip_counts(g, permute(w.vertices, H2_APEX_CYCLE), _H2_KEY_PROFILES),
+        default=None,
+    )
+    return None if best is None else (best, c5_partition(g, permute(best.vertices, H2_APEX_CYCLE)))
 
 
 # -- property reports ------------------------------------------------------------
@@ -547,9 +538,7 @@ def check_h2_properties(g: Graph, part: C5Partition, apex: int) -> PropertyRepor
     rep.add("f5_singleton", None if F5 == 1 << apex else tuple(bits(F5)))
     rep.add("y5_nonempty", None if Y[4] else (part.cycle[4],))
 
-    frow = g.rows[apex]
-    Rp = [R[i] & frow for i in range(5)]
-    Rpp = [R[i] & ~frow for i in range(5)]
+    Rp, Rpp = apex_split(g, part, apex)
     rep.add("r2pp_or_r3pp_empty", (lowest(Rpp[1]), lowest(Rpp[2])) if Rpp[1] and Rpp[2] else None)
     rep.add("rp5_rp_anticomplete", first_cross_edge(g, Rp[4], Rp[1] | Rp[2]))
     rep.add("rp5_y_anticomplete", first_cross_edge(g, Rp[4], Y[1] | Y[2]))

@@ -205,9 +205,10 @@ def crit_anchor_structure() -> tuple[bool, str]:
         )
         seed += 1
         core, _ = reduce_to_core(generate(cfg))
-        if find_induced(core, "H1") is None:
+        best = select_best_h1(core)
+        if best is None:
             continue
-        _, part = select_best_h1(core)
+        _, part = best
         report = check_h1_properties(core, part)
         if not report.ok:
             bad = report.failures()[0]
@@ -228,9 +229,12 @@ def crit_anchor_structure() -> tuple[bool, str]:
         )
         seed += 1
         core, _ = reduce_to_core(generate(cfg))
-        if find_induced(core, "H2") is None or find_induced(core, "H1") is not None:
+        if find_induced(core, "H1") is not None:
             continue
-        witness, part = select_best_h2(core)
+        best = select_best_h2(core)
+        if best is None:
+            continue
+        witness, part = best
         report = check_h2_properties(core, part, witness.vertices[5])
         if not report.ok:
             bad = report.failures()[0]

@@ -1,12 +1,31 @@
 """Acceptance gate: every criterion runs at its pinned size and must pass.
 
 Run with `pytest tests/test_acceptance.py -v` (or `fourcolor suite`); one
-pass/fail line prints per criterion.
+pass/fail line prints per criterion. The helpers the criteria rely on are
+checked here too.
 """
+
+import random
 
 import pytest
 
-from fourcolor import suite
+from conftest import find_odd_hole_bruteforce, random_graph
+from fourcolor import complement, cycle, suite
+
+
+def test_odd_hole_detector_matches_the_bruteforce_reference():
+    for n in (5, 7, 9):
+        assert suite._find_odd_hole(cycle(n)) == tuple(range(n))
+    assert suite._find_odd_hole(cycle(6)) is None
+    assert suite._find_odd_hole(complement(cycle(7))) is None
+    rng = random.Random(2024)
+    holes = 0
+    for trial in range(300):
+        g = random_graph(rng, 5 + trial % 5, 0.2 + 0.1 * (trial % 5))
+        hole = suite._find_odd_hole(g)
+        assert hole == find_odd_hole_bruteforce(g)
+        holes += hole is not None
+    assert holes >= 30
 
 
 @pytest.mark.parametrize("cid", [c for c, _, _ in suite.CRITERIA])

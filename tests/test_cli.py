@@ -73,6 +73,16 @@ def test_oracle_guard_exit_1():
     assert code == 0
 
 
+def test_oracle_on_a_large_clique_file(tmp_path):
+    from fourcolor import complete
+
+    graph_file = tmp_path / "k1100.g6"
+    graph_file.write_text(emit_graph6(complete(1100)) + "\n")
+    code, out = run_cli(["oracle", "--limit", "1200", "--in", str(graph_file)])
+    assert code == 0
+    assert out.splitlines()[0] == "chi=1100"
+
+
 def test_verify_roundtrip(tmp_path):
     graph_file = tmp_path / "w5.g6"
     graph_file.write_text(W5_G6 + "\n")

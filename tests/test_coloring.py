@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fourcolor.coloring
+import fourcolor.structure
 from conftest import large_graphs, naive_chromatic, random_graph
 from fourcolor import (
     PATTERNS,
@@ -21,6 +22,7 @@ from fourcolor import (
     complete,
     c5_partition,
     cycle,
+    enumerate_induced,
     four_color,
     find_induced,
     path,
@@ -230,17 +232,30 @@ def test_fallback_rejects_five_cycles():
         color_fallback(cycle(5))
 
 
+def test_every_anchor_holds_an_induced_five_cycle():
+    # The dispatch searches for a five-cycle first and sends a core without
+    # one to the fallback; that skips no anchor only because each holds one.
+    for p in ("H1", "H2", "W5"):
+        assert find_induced(PATTERNS[p].model, "C5") is not None
+
+
 def test_pipeline_searches_a_fallback_component_for_five_cycles_once(monkeypatch):
-    searched = []
+    searched, enumerated = [], []
 
     def counting(g, pattern, containing=None):
         searched.append(pattern)
         return find_induced(g, pattern, containing)
 
+    def enumerating(g, pattern, containing=None):
+        enumerated.append(pattern)
+        return enumerate_induced(g, pattern, containing)
+
     monkeypatch.setattr(fourcolor.coloring, "find_induced", counting)
+    monkeypatch.setattr(fourcolor.structure, "enumerate_induced", enumerating)
     _, trace = four_color(construction("C7-complement"))
     assert [r.lemma for r in trace.records] == ["fallback"]
-    assert searched == ["W5", "C5"]
+    assert searched == ["C5"]
+    assert "H1" not in enumerated and "H2" not in enumerated
 
 
 # -- ring-anchor case coverage -------------------------------------------------------

@@ -80,6 +80,10 @@ def test_clique_number_examples():
     assert clique_number(empty(0)) == 0
 
 
+def test_clique_search_is_not_bounded_by_recursion_depth():
+    assert clique_number(complete(1100), limit=1100) == 1100
+
+
 def test_chromatic_at_least_clique():
     rng = random.Random(23)
     for _ in range(40):
@@ -152,6 +156,11 @@ def test_enumerate_class_members_matches_naive_filter():
             if naive_find_induced(g, "2P2") is None and naive_find_induced(g, "K4") is None:
                 expected.append(g.rows)
         assert [g.rows for g in enumerate_class_members(n)] == expected
+
+
+def test_enumerate_class_members_rejects_a_negative_order():
+    with pytest.raises(ValueError):
+        list(enumerate_class_members(-1))
 
 
 def test_enumeration_and_generation_do_not_import_numpy():
