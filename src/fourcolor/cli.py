@@ -1,12 +1,14 @@
 """Command-line front end: one verb per pipeline stage.
 
 Exit codes: 0 success, 1 class or validation failure (witness printed),
-2 usage or input-format error, 3 internal case failure.
+2 usage or input-format error, 3 internal case failure, 141 stdout closed by
+its reader (128 + SIGPIPE, as a shell reports a command killed by the pipe).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -39,6 +41,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _read_text(path: Path) -> str:
@@ -323,7 +326,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = sys.stdout
     try:
-        return args.fn(args, out)
+        code = args.fn(args, out)
+        out.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Buffered output is flushed again at exit; send it to devnull instead.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return EXIT_BROKEN_PIPE
     except (NotInClass, UnclassifiableVertex) as exc:
         print(f"not in class: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -1,3 +1,6 @@
+import random
+
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 
@@ -19,10 +22,11 @@ from fourcolor import (
     peo,
     verify_coloring,
 )
-from fourcolor.approx import _mcs_visit_order
-from fourcolor.graph import bits
+from fourcolor.approx import _PAIRINGS, _mcs_visit_order
+from fourcolor.graph import bits, complement
 from fourcolor.lab import (
     GeneratorConfig,
+    c5_blowup,
     clique_number,
     exact_chromatic,
     generate,
@@ -185,3 +189,53 @@ def test_approx_reports_a_non_chordal_pair_in_original_ids(monkeypatch):
     assert err.value.violation == (v + 2, (x + 2, y + 2))
     assert str(err.value) == f"clique pair (3, 4) is not chordal: {err.value.violation}"
     assert not g.has_edge(x + 2, y + 2)
+
+
+def _relabelled_half_graph(h, seed):
+    """a_i ~ b_j iff i <= j, on a random labelling of its 2h vertices."""
+    label = list(range(2 * h))
+    random.Random(seed).shuffle(label)
+    return Graph.from_edges(2 * h, [(label[i], label[h + j]) for i in range(h) for j in range(i, h)])
+
+
+def _koenig_clique(g, first, second):
+    """A largest clique of the union of cliques `first` and `second`: the
+    vertices outside a least cover of the non-edges across them (König)."""
+    nonedges = nx.Graph()
+    nonedges.add_nodes_from(first | second)
+    nonedges.add_edges_from((u, v) for u in first for v in second if not g.has_edge(u, v))
+    matching = nx.bipartite.hopcroft_karp_matching(nonedges, top_nodes=first)
+    return (first | second) - nx.bipartite.to_vertex_cover(nonedges, matching, top_nodes=first)
+
+
+def test_clique_pair_color_count_is_the_koenig_clique_size_on_every_pairing():
+    # A7's 200 instances, all three pairings: a color class of a union of two
+    # cliques is one vertex or a nonadjacent pair across them, so the optimal
+    # count is |A| + |B| minus a largest matching of those non-edges, which is
+    # the size of the König clique.
+    for seed in range(200):
+        cfg = GeneratorConfig(n=4 + seed % 9, seed=50_000 + seed, p=0.3 + 0.05 * (seed % 6), cls="4p1c4-free")
+        g = generate(cfg)
+        cover = approx_color(g).cover
+        for pairing in _PAIRINGS:
+            for a, b in pairing:
+                sub, _ = induced_subgraph(g, cover[a] | cover[b])
+                assert chordal_color(sub).k == len(_koenig_clique(g, cover[a], cover[b]))
+
+
+@pytest.mark.parametrize(
+    "member",
+    [("half", h) for h in (50, 75, 100, 150)] + [("blowup", s) for s in ((30,) * 5, (20, 30, 40, 50, 60), (60,) * 5)],
+)
+def test_approx_ratio_is_certified_by_a_clique_past_the_oracle_guard(member):
+    # Complements of members with n = 100..300, far past exact_chromatic's n <= 24.
+    kind, size = member
+    g = complement(_relabelled_half_graph(size, seed=size) if kind == "half" else c5_blowup(size))
+    res = approx_color(g)
+    assert verify_coloring(g, res.coloring) is None
+    cliques = [_koenig_clique(g, res.cover[a - 1], res.cover[b - 1]) for a, b in res.pairing]
+    for clique, count in zip(cliques, res.breakdown):
+        vertices = sorted(clique)
+        assert all(g.has_edge(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1:])
+        assert len(clique) == count
+    assert res.coloring.k <= 2 * max(len(c) for c in cliques)

@@ -1,8 +1,13 @@
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import fourcolor
 from fourcolor import Coloring, emit_edge_list, emit_graph6, parse_graph6, verify_coloring
 from fourcolor.cli import main
 from fourcolor.lab import c5_blowup, construction
@@ -216,6 +221,26 @@ def test_approx_cli():
     assert first.startswith("k=") and "pairing=" in first
     code, _ = run_cli(["approx", "--in", "Cl"])  # the four-cycle is excluded
     assert code == 1
+
+
+def test_closed_stdout_exits_141_without_a_message(tmp_path):
+    # With stdout buffered, 3000 vertices print past the buffer, so the pipe
+    # breaks mid-run; W5's few lines break it at the final flush.
+    blowup = tmp_path / "blowup3000.g6"
+    blowup.write_text(emit_graph6(c5_blowup((600,) * 5)) + "\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(fourcolor.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    for spec in (W5_G6, str(blowup)):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", "from fourcolor.cli import run; run()", "color", "--in", spec],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, b"")
 
 
 def test_suite_single_criterion():
