@@ -1,18 +1,19 @@
 """2-approximation coloring for graphs without induced 4P1 or C4.
 
-The complement of such a graph has no induced 2P2 or K4, so the main
-pipeline splits it into four independent sets; those are four cliques of the
-input, any two of which induce a chordal graph (a C4-free union of two
-cliques has no hole). Optimally coloring two clique pairs with disjoint
-palettes costs at most twice the chromatic number.
+The complement of such a graph has no induced 2P2 or K4, so four_color
+splits it into four independent sets; its certification of the complement is
+the only one, and a rejection is re-raised with the input's own 4P1 or C4
+witness. The four sets are four cliques of the input, any two of which
+induce a chordal graph (a C4-free union of two cliques has no hole).
+Optimally coloring two clique pairs with disjoint palettes costs at most
+twice the chromatic number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-# four_color stays a name of this module: bench/spans.py wraps approx.four_color.
-from .coloring import Coloring, _color_member, four_color, verify_coloring  # noqa: F401
+from .coloring import Coloring, four_color, verify_coloring
 from .errors import ChordalityViolation, InternalCaseFailure, NotInClass
 from .graph import Graph, bits, complement, induced_subgraph, lowest
 from .patterns import certify_class
@@ -115,15 +116,17 @@ _PAIRINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 def approx_color(g: Graph) -> ApproxResult:
     """Proper coloring with at most twice the optimal number of colors.
 
-    Input must avoid induced 4P1 and C4 (witness error otherwise). All three
-    ways of pairing the four cover cliques are tried; each pair-union is
-    asserted chordal by its coloring, and the cheapest pairing is kept.
+    Input must avoid induced 4P1 and C4. The complement is built once and
+    colored by four_color, whose certification is the only one: g avoids 4P1
+    and C4 exactly when its complement avoids K4 and 2P2. On a rejection
+    NotInClass carries g's own witness, not the complement's. All three ways
+    of pairing the four cover cliques are tried; each pair-union is asserted
+    chordal by its coloring, and the cheapest pairing is kept.
     """
-    witness = certify_class(g, ("4P1", "C4"))
-    if witness is not None:
-        raise NotInClass(witness)
-    # (4P1, C4)-free g has a (2P2, K4)-free complement: no second certification.
-    cocol, _ = _color_member(complement(g))
+    try:
+        cocol, _ = four_color(complement(g))
+    except NotInClass:
+        raise NotInClass(certify_class(g, ("4P1", "C4"))) from None
     cover = tuple(
         frozenset(v for v in range(g.n) if cocol.colors[v] == c) for c in (1, 2, 3, 4)
     )

@@ -2,13 +2,16 @@
 
 Pipeline: validate class membership, strip comparable vertices, then color
 the core by structural case analysis around an anchor (seven-vertex ring
-anchor, apex anchor, hub anchor, bare five-cycle), falling back to bounded
-backtracking when no five-cycle exists. Every anchor holds an induced
-five-cycle, so the dispatch searches for one first and sends a core without
-one straight to the fallback. The core is one connected graph: an
-isolated core vertex would be dominated by any other, and two components with
-edges would hold an induced 2P2. So one dispatch colors it, and each case
-colorer returns its coloring with the one TraceRecord that names its leaf.
+anchor, apex anchor, hub anchor, bare five-cycle), falling back to
+color_fallback, a complete 4-coloring search, when no five-cycle exists.
+Every anchor holds an induced five-cycle, so the dispatch searches for one
+first and sends a core without one straight to the fallback. Each stage has
+one implementation, its public function: four_color is the one entry to the
+pipeline, and approx_color colors a complement through it. The core is one
+connected graph: an isolated core vertex would be dominated by any other, and
+two components with edges would hold an induced 2P2. So one dispatch colors
+it, and each case colorer returns its coloring with the one TraceRecord that
+names its leaf.
 Every color class a case emits is asserted independent before it is accepted,
 so a transcription error in a case table surfaces as InternalCaseFailure
 rather than as a bad coloring.
@@ -28,7 +31,6 @@ from .reduction import reduce_to_core, reinsert_colors
 from .structure import (
     C5Partition,
     H1Partition,
-    C5_ROTATIONS,
     H1_AUTOMORPHISMS,
     H2_CYCLE_REFLECTION,
     apex_split,
@@ -684,38 +686,27 @@ def color_w5_case(g: Graph, part: C5Partition) -> tuple[Coloring, TraceRecord]:
 
 
 def color_c5_case(g: Graph, part: C5Partition) -> tuple[Coloring, TraceRecord]:
-    """4-coloring when only a bare five-cycle anchor is available."""
-    preds: list[tuple[str, bool]] = []
+    """4-coloring when only a bare five-cycle anchor is available.
+
+    Runs only on a core with no induced W5, so no Z vertex sees three
+    consecutive Y strips. In a 2P2-free graph Y[i] is complete to Y[i+1]:
+    otherwise y_i, i+2 and y_{i+1}, i-1 induce a 2P2. Let z in Z see y_a in
+    Y[i], y_b in Y[i+1] and y_c in Y[i+2]. If y_a ~ y_c, then z, y_a, y_b,
+    y_c is a K4; otherwise y_b is the hub of the induced five-cycle z, y_a,
+    i+3, i+4, y_c. Any four of the five Y strips hold three consecutive
+    ones, so no z sees four Y strips.
+    """
     if part.U:
         raise InternalCaseFailure("c5/setup", "hub vertex present", (lowest(part.U),))
     for i in range(5):
         if part.F[i]:
             raise InternalCaseFailure("c5/setup", f"apex strip F[{i}] not empty", (lowest(part.F[i]),))
-
-    missing = None
-    for z in bits(part.Z):
-        hit = [i for i in range(5) if g.rows[z] & part.Y[i]]
-        if len(hit) == 5:
-            raise InternalCaseFailure("c5/setup", f"vertex {z} reaches all five Y strips", (z,))
-        if len(hit) == 4:
-            missing = next(i for i in range(5) if i not in hit)
-            break
-    preds.append(("z_sees_four_y", missing is not None))
-
-    case = "c5/spread"
-    if missing is not None:
-        # Rotate the strip z misses to Y[4]; with Y[4] empty the placement
-        # below puts all of Z (independent, and anti-complete to R) in class 2.
-        case = "c5/crowded"
-        part = c5_partition(g, permute(part.cycle, C5_ROTATIONS[(missing + 1) % 5]))
-        if part.Y[4]:
-            raise InternalCaseFailure(case, "rotated far Y strip not empty", (lowest(part.Y[4]),))
     c, R, Y, Z = _singletons(part.cycle), part.R, part.Y, part.Z
     y4_clean, y4_attached = _split_by_attachment(g, Y[3], Y[0])
     r4_clean, r4_attached = _split_by_attachment(g, R[3], R[0])
     cls = _Classes(
         g,
-        case,
+        "c5/spread",
         [
             Y[0] | R[4] | y4_clean | c[4],
             Y[1] | R[2] | y4_attached | c[2],
@@ -728,29 +719,23 @@ def color_c5_case(g: Graph, part: C5Partition) -> tuple[Coloring, TraceRecord]:
             cls.place(z, (2, 3))
         else:
             cls.place(z, (0, 1))
-    return cls.finish(), TraceRecord(case, tuple(preds), part.cycle)
+    return cls.finish(), TraceRecord("c5/spread", (), part.cycle)
 
 
 # -- cycle-free fallback ----------------------------------------------------------------
 
 
-def color_fallback(g: Graph) -> tuple[Coloring, TraceRecord]:
-    """Exhaustive 4-coloring search for five-cycle-free class members.
-
-    Saturation-degree vertex order with lowest-index tie-break. Success is
-    guaranteed for the intended inputs; exhausting the search signals a bug.
-    """
-    w = find_induced(g, "C5")
-    if w is not None:
-        raise ValueError(f"fallback requires a five-cycle-free graph; found {w.vertices}")
-    return _fallback_search(g)
-
-
 _FALLBACK_RECORD = TraceRecord("fallback/search", (), ())
 
 
-def _fallback_search(g: Graph) -> tuple[Coloring, TraceRecord]:
-    """color_fallback past its five-cycle guard, for a graph already searched."""
+def color_fallback(g: Graph) -> tuple[Coloring, TraceRecord]:
+    """Exhaustive 4-coloring search, for the five-cycle-free cores.
+
+    Saturation-degree vertex order with lowest-index tie-break. The search is
+    complete, so it 4-colors every graph with chromatic number at most 4; it
+    raises InternalCaseFailure when it is exhausted, which on a class member
+    signals a bug.
+    """
     n = g.n
     if n == 0:
         return Coloring((), 0), _FALLBACK_RECORD
@@ -814,7 +799,7 @@ def _color_core(core: Graph) -> tuple[Coloring, TraceRecord]:
     """
     c5 = find_induced(core, "C5")
     if c5 is None:
-        return _fallback_search(core)
+        return color_fallback(core)
     h1 = select_best_h1(core)
     if h1 is not None:
         return color_h1_case(core, h1[1])
@@ -836,12 +821,6 @@ def four_color(g: Graph) -> tuple[Coloring, CaseTrace]:
     witness = certify_class(g, ("2P2", "K4"))
     if witness is not None:
         raise NotInClass(witness)
-    return _color_member(g)
-
-
-def _color_member(g: Graph) -> tuple[Coloring, CaseTrace]:
-    """four_color past its certification step, for a graph known to be
-    (2P2, K4)-free."""
     trace = CaseTrace()
     core, rtrace = reduce_to_core(g)
     col = Coloring((), 0)

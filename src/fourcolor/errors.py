@@ -66,11 +66,11 @@ class ChordalityViolation(Exception):
 
 
 class GenerationError(Exception):
-    """Instance generation exhausted its retry budget."""
+    """Instance generation failed: a retry budget ran out, or a start graph
+    or construction does not fit the requested class or size."""
 
-    def __init__(self, detail: str, attempts: int = 0, accepted: int = 0):
+    def __init__(self, detail: str, attempts: int = 0):
         self.attempts = attempts
-        self.accepted = accepted
         super().__init__(detail)
 
 

@@ -362,6 +362,8 @@ def generate(config: GeneratorConfig) -> Graph:
             )
         else:
             g = construction(method)
+            if g.n != config.n:
+                raise GenerationError(f"construction {method} has {g.n} vertices, target n={config.n}")
     witness = certify_class(g, forbidden)
     if witness is not None:
         raise GenerationError(

@@ -193,8 +193,6 @@ H1_AUTOMORPHISMS: tuple[tuple[int, ...], ...] = (
 
 H2_CYCLE_REFLECTION: tuple[int, ...] = (3, 2, 1, 0, 4)  # swaps roles 0/3 and 1/2
 H2_APEX_CYCLE: tuple[int, ...] = (1, 2, 3, 4, 0)  # the cycle from role 1: the apex misses role 4
-# C5_ROTATIONS[s]: the cycle read from role s.
-C5_ROTATIONS = tuple(tuple((i + s) % 5 for i in range(5)) for s in range(5))
 
 
 def permute(vertices: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:

@@ -309,10 +309,9 @@ def crit_fallback_justification() -> tuple[bool, str]:
     checked = 0
     for n in range(1, 8):
         for g in enumerate_class_members(n):
-            try:
-                col, _ = color_fallback(g)
-            except ValueError:  # the guard found a five-cycle
+            if find_induced(g, "C5") is not None:
                 continue
+            col, _ = color_fallback(g)
             if _find_odd_hole(g) is not None:
                 return False, f"exhaustive n={n}: odd hole in a five-cycle-free member"
             if verify_coloring(g, col) is not None or col.k > 4:
@@ -324,10 +323,9 @@ def crit_fallback_justification() -> tuple[bool, str]:
             n=8 + seed % 3, seed=10_000 + seed, p=0.25 + 0.05 * (seed % 6), method="incremental"
         )
         g = generate(cfg)
-        try:
-            col, _ = color_fallback(g)
-        except ValueError:  # the guard found a five-cycle
+        if find_induced(g, "C5") is not None:
             continue
+        col, _ = color_fallback(g)
         if _find_odd_hole(g) is not None:
             return False, f"sampled seed={cfg.seed}: odd hole in a five-cycle-free member"
         if verify_coloring(g, col) is not None or col.k > 4:

@@ -12,6 +12,7 @@ from fourcolor import (
     Graph,
     NotInClass,
     approx_color,
+    certify_class,
     chordal_color,
     complete,
     cycle,
@@ -127,6 +128,14 @@ def test_approx_rejects_non_members():
     with pytest.raises(NotInClass) as err:
         approx_color(cycle(4))
     assert err.value.witness.pattern == "C4"
+    # C4 on 0..3 plus four isolated vertices holds both patterns. Its complement
+    # is rejected for a 2P2 first, but the error names g's own first witness.
+    g = Graph.from_edges(8, [(i, (i + 1) % 4) for i in range(4)])
+    with pytest.raises(NotInClass) as err:
+        approx_color(g)
+    assert certify_class(complement(g), ("2P2", "K4")).pattern == "2P2"
+    assert err.value.witness == certify_class(g, ("4P1", "C4"))
+    assert (err.value.witness.pattern, err.value.witness.vertices) == ("4P1", (0, 2, 4, 5))
 
 
 def test_approx_on_complete_graph():
@@ -179,7 +188,7 @@ def test_approx_reports_a_non_chordal_pair_in_original_ids(monkeypatch):
         7, [(2 + i, 2 + (i + 1) % 5) for i in range(5)] + [(u, v) for u in (0, 1) for v in range(7) if v != u]
     )
     monkeypatch.setattr(
-        fourcolor.approx, "_color_member", lambda co: (Coloring((1, 2, 3, 3, 3, 3, 3), 3), None)
+        fourcolor.approx, "four_color", lambda co: (Coloring((1, 2, 3, 3, 3, 3, 3), 3), None)
     )
     with pytest.raises(ChordalityViolation) as err:
         approx_color(g)

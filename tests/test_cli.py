@@ -195,6 +195,14 @@ def test_generate_bad_planted_start_exit_codes(start, n, code):
     assert run_cli(["generate", "--method", f"planted:{start}", "--n", str(n), "--seed", "1"])[0] == code
 
 
+def test_generate_construction_of_the_wrong_size_exits_1(capsys):
+    # A construction ignores --n; printing it would record n=40 for a 6-vertex graph.
+    argv = ["generate", "--n", "40", "--seed", "1", "--method", "W5", "--count", "2"]
+    assert run_cli(argv) == (1, "")
+    assert "construction W5 has 6 vertices, target n=40" in capsys.readouterr().err
+    assert run_cli(["generate", "--n", "6", "--seed", "1", "--method", "W5"]) == (0, W5_G6 + "\n")
+
+
 def test_partition_c5_porcelain():
     code, out = run_cli(["partition", "--anchor", "c5", "--in", W5_G6, "--porcelain"])
     assert code == 0

@@ -227,9 +227,16 @@ def test_fallback_search_is_not_bounded_by_recursion_depth():
     assert color_fallback(empty(1100))[0].k == 1
 
 
-def test_fallback_rejects_five_cycles():
-    with pytest.raises(ValueError):
-        color_fallback(cycle(5))
+def test_fallback_colors_five_cycles_and_wheels():
+    # The search is complete, so it needs no five-cycle-free input.
+    c5 = cycle(5)
+    col, _ = color_fallback(c5)
+    _assert_proper(c5, col)
+    assert col.k == 3
+    w5 = construction("W5")
+    col, _ = color_fallback(w5)
+    _assert_proper(w5, col)
+    assert col.k == 4
 
 
 def test_every_anchor_holds_an_induced_five_cycle():
@@ -467,28 +474,21 @@ def test_c5_case_spread_and_blowup():
         _assert_proper(g, col)
 
 
-def test_no_class_member_reaches_the_crowded_branch():
-    # An outside vertex with neighbors in three consecutive Y strips always
-    # closes a K4 (strip representatives adjacent) or a wheel (the middle
-    # strip vertex dominates a five-cycle through the anchor), so attachment
-    # to four strips never survives the case preconditions.
-    plants = [("Y", 0), ("Y", 1), ("Y", 2), ("Y", 3), ("Z", 0)]
-    extra = [(9, 5), (9, 6), (9, 7), (9, 8)]
-    g = c5_with_plants(plants, extra)
-    assert certify_class(g, ("2P2", "K4")) is None
-    assert find_induced(g, "W5") is not None
-
-
-def test_c5_case_crowded_branch_mechanics():
-    # The rotation-and-emit machinery still yields a proper coloring when the
-    # branch is driven directly (the graph violates only the wheel-freeness
-    # precondition, which this branch never relies on for properness).
-    plants = [("Y", 0), ("Y", 1), ("Y", 2), ("Y", 3), ("Z", 0)]
-    extra = [(9, 5), (9, 6), (9, 7), (9, 8)]
-    g = c5_with_plants(plants, extra)
-    col, rec = color_c5_case(g, c5_partition(g, tuple(range(5))))
-    _assert_proper(g, col)
-    assert rec.case == "c5/crowded"
+def test_no_wheel_free_member_has_a_z_vertex_on_three_consecutive_y_strips():
+    # color_c5_case runs only on cores without an induced W5. The five-cycle
+    # is 0..4, z = 5 sees no cycle vertex, and 6, 7, 8 lie in Y[i], Y[i+1],
+    # Y[i+2] and see z. Whichever of the three y-y pairs are edges, the graph
+    # holds a 2P2, a K4 or a W5, so no such z reaches the bare-cycle case.
+    ys = (6, 7, 8)
+    pairs = ((6, 7), (7, 8), (6, 8))
+    for i in range(5):
+        fixed = [(j, (j + 1) % 5) for j in range(5)] + [(5, y) for y in ys]
+        for y, strip in zip(ys, (i, i + 1, i + 2)):
+            fixed += [(y, r) for r in _C5_RING["Y"](strip)]
+        for chosen in range(8):
+            edges = fixed + [pair for bit, pair in enumerate(pairs) if chosen >> bit & 1]
+            g = Graph.from_edges(9, edges)
+            assert any(find_induced(g, p) is not None for p in ("2P2", "K4", "W5")), (i, chosen)
 
 
 # -- randomized agreement ------------------------------------------------------------

@@ -238,6 +238,13 @@ def test_growth_from_a_graph6_start(method):
                 assert nx.is_isomorphic(_nx(core), _nx(start)), (token, n)
 
 
+def test_construction_methods_must_match_the_requested_size():
+    for cls in ("2p2k4-free", "4p1c4-free"):
+        with pytest.raises(GenerationError, match="construction W5 has 6 vertices, target n=40"):
+            generate(GeneratorConfig(n=40, seed=1, cls=cls, method="W5"))
+        assert generate(GeneratorConfig(n=6, seed=1, cls=cls, method="W5")).n == 6
+
+
 @pytest.mark.parametrize("method", ["planted", "incremental"])
 def test_bad_growth_starts_fail_cleanly(method):
     def grow(start, n=10):
