@@ -281,19 +281,12 @@ def _h1_case_neither(g, part, preds, side_d):
             ]
         if not _anti(g, D[2], F[2]):
             raise InternalCaseFailure("h1/neither/f61empty", "neither D/F side is anti-complete")
-        preds.append(("side_d_nonempty", side_d))
-        if side_d:
-            return "h1/neither/f61empty/b", [
-                F[1] | F[4] | W,
-                F[2] | D[2] | c[5] | c[0],
-                D[0] | D[1] | c[3] | c[4],
-                D[4] | D[5] | c[1] | c[2],
-            ]
-        return "h1/neither/f61empty/c", [
-            F[1] | D[0] | W | c[5] | T[2],
-            F[2] | D[2] | c[0] | T[3],
-            F[4] | c[1] | c[2],
-            D[1] | c[3] | c[4] | T[1],
+        # D[4] sees F[4], so it is nonempty and the side D strips are too.
+        return "h1/neither/f61empty/b", [
+            F[1] | F[4] | W,
+            F[2] | D[2] | c[5] | c[0],
+            D[0] | D[1] | c[3] | c[4],
+            D[4] | D[5] | c[1] | c[2],
         ]
     if not F[1]:
         d34_clean = _anti(g, D[2], F[2])
@@ -360,19 +353,12 @@ def _h1_case_f45_only(g, part, preds, side_d):
             ]
         if not _anti(g, D[1], F[1]):
             raise InternalCaseFailure("h1/f45/f56empty", "neither D/F side is anti-complete")
-        preds.append(("side_d_nonempty", side_d))
-        if side_d:
-            return "h1/f45/f56empty/b", [
-                F[2] | F[5] | W,
-                F[1] | D[0] | D[1] | c[4] | c[5],
-                F[3] | D[2] | c[0] | c[1],
-                D[4] | D[5] | c[2] | c[3],
-            ]
-        return "h1/f45/f56empty/c", [
-            F[2] | W | c[5] | T[2],
-            F[1] | D[0] | D[1] | c[4] | T[1],
-            F[3] | D[2] | c[0] | c[1] | T[3],
-            F[5] | c[2] | c[3],
+        # D[5] sees F[5], so it is nonempty and the side D strips are too.
+        return "h1/f45/f56empty/b", [
+            F[2] | F[5] | W,
+            F[1] | D[0] | D[1] | c[4] | c[5],
+            F[3] | D[2] | c[0] | c[1],
+            D[4] | D[5] | c[2] | c[3],
         ]
     if not F[2]:
         d23_clean = _anti(g, D[1], F[1])

@@ -69,10 +69,6 @@ class GenerationError(Exception):
     """Instance generation failed: a retry budget ran out, or a start graph
     or construction does not fit the requested class or size."""
 
-    def __init__(self, detail: str, attempts: int = 0):
-        self.attempts = attempts
-        super().__init__(detail)
-
 
 class ReinsertionConflict(Exception):
     """Replaying a reduction trace produced an improper color (trace corruption)."""

@@ -283,10 +283,7 @@ def _rejection(rng: random.Random, n: int, p: float, forbidden) -> Graph:
         g = _gnp(rng, n, p_eff)
         if certify_class(g, forbidden) is None:
             return g
-    raise GenerationError(
-        f"rejection sampling exhausted {_REJECTION_BUDGET} tries (n={n}, p={p_eff:.3f})",
-        attempts=_REJECTION_BUDGET,
-    )
+    raise GenerationError(f"rejection sampling exhausted {_REJECTION_BUDGET} tries (n={n}, p={p_eff:.3f})")
 
 
 _GROWTH_TRIES = 40

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from conftest import find_odd_hole_bruteforce, random_graph
-from fourcolor import complement, cycle, suite
+from fourcolor import complement, cycle, find_induced, suite
 
 
 def test_odd_hole_detector_matches_the_bruteforce_reference():
@@ -24,6 +24,8 @@ def test_odd_hole_detector_matches_the_bruteforce_reference():
         g = random_graph(rng, 5 + trial % 5, 0.2 + 0.1 * (trial % 5))
         hole = suite._find_odd_hole(g)
         assert hole == find_odd_hole_bruteforce(g)
+        # A10 relies on this: shortest first, so a 5-hole is an induced C5
+        assert (hole is not None and len(hole) == 5) == (find_induced(g, "C5") is not None)
         holes += hole is not None
     assert holes >= 30
 

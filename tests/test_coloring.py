@@ -11,6 +11,7 @@ from fourcolor import (
     PATTERNS,
     Coloring,
     Graph,
+    InternalCaseFailure,
     NotInClass,
     certify_class,
     color_c5_case,
@@ -22,9 +23,11 @@ from fourcolor import (
     complete,
     c5_partition,
     cycle,
+    emit_graph6,
     enumerate_induced,
     four_color,
     find_induced,
+    parse_graph6,
     path,
     select_best_h1,
     select_best_h2,
@@ -219,6 +222,15 @@ def test_fallback_small_cases():
     col, _ = color_fallback(c7bar)
     _assert_proper(c7bar, col)
     assert col.k == 4
+    # No five-cycle-free class member with n <= 7 makes the search dead-end.
+    # This 4-chromatic non-member does, 21 times, and is still 4-colored.
+    g = parse_graph6("FkKxw")
+    assert certify_class(g, ("2P2", "K4")) is not None
+    col, _ = color_fallback(g)
+    _assert_proper(g, col)
+    assert col.k == 4
+    with pytest.raises(InternalCaseFailure, match="4-color search exhausted"):
+        color_fallback(parse_graph6("D~{"))  # K5
 
 
 def test_fallback_search_is_not_bounded_by_recursion_depth():
@@ -473,6 +485,16 @@ def test_c5_case_spread_and_blowup():
         col, trace = four_color(g)
         _assert_proper(g, col)
 
+    # z = 7 sees both Y[2] and Y[4], so it joins the class of cycle vertex 4
+    g = c5_with_plants([("Y", 2), ("Y", 4), ("Z", 0)], [(7, 5), (7, 6)])
+    assert emit_graph6(g) == "GhejOK"
+    assert certify_class(g, ("2P2", "K4")) is None
+    assert all(find_induced(g, p) is None for p in ("W5", "H1", "H2"))
+    col, rec = color_c5_case(g, c5_partition(g, tuple(range(5))))
+    _assert_proper(g, col)
+    assert rec.case == "c5/spread"
+    assert col.colors[7] == col.colors[4]
+
 
 def test_no_wheel_free_member_has_a_z_vertex_on_three_consecutive_y_strips():
     # color_c5_case runs only on cores without an induced W5. The five-cycle
@@ -489,6 +511,27 @@ def test_no_wheel_free_member_has_a_z_vertex_on_three_consecutive_y_strips():
             edges = fixed + [pair for bit, pair in enumerate(pairs) if chosen >> bit & 1]
             g = Graph.from_edges(9, edges)
             assert any(find_induced(g, p) is not None for p in ("2P2", "K4", "W5")), (i, chosen)
+
+
+# -- leaves reached on real graphs -----------------------------------------------------
+
+# Relabellings of suite.SEED_CORES entries (IUxuvK}{G for the first two,
+# JUxrC~qrLk_ for the others) whose tie-breaks reach ring-anchor leaves that
+# the A2 mix does not.
+RELABELLED_CORE_LEAVES = [
+    ("IFvfZYTMw", "h1/both/f34"),
+    ("ItjZetmV_", "h1/both/f56"),
+    ("JbdFzylyTg_", "h1/f45/f34empty/c"),
+    ("JHztGvpsmy_", "h1/f45/f56empty/b"),
+]
+
+
+@pytest.mark.parametrize("token,leaf", RELABELLED_CORE_LEAVES)
+def test_four_color_reaches_ring_leaves_on_relabelled_cores(token, leaf):
+    g = parse_graph6(token)
+    col, trace = four_color(g)
+    _assert_proper(g, col)
+    assert [r.case for r in trace.records] == [leaf]
 
 
 # -- randomized agreement ------------------------------------------------------------

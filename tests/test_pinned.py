@@ -12,6 +12,13 @@ its branch for a Z vertex on four Y strips, which no class member reaches.
 Every colouring is unchanged; the trace lines of that case no longer carry
 the predicate z_sees_four_y:false, and the one drive that took the branch on a
 graph holding a W5 now reads c5/spread with the same colouring.
+
+The "cases" digest was re-taken again when two ring-anchor leaves went,
+h1/neither/f61empty/c and h1/f45/f56empty/c: each sat behind a test that the
+side D strips are nonempty, which the branch had already settled, since a D
+strip had just been found to see its F strip. Every colouring is unchanged;
+the trace lines of h1/neither/f61empty/b and h1/f45/f56empty/b no longer carry
+the predicate side_d_nonempty:true.
 """
 
 import hashlib
@@ -47,7 +54,7 @@ from test_structure import h1_with_plants
 
 PINNED = {
     "members": "28b9a1fad66d45755e4ccb4df083b444e50ba7aff13ffe90ffc287d830967e09",
-    "cases": "d18962cff6eacd24aec75ca27cc0f63994f93ce4b9ae1ab548f2bb25c3d9466f",
+    "cases": "440208d2f88bb34a423235f4b0feeb6faf1907c5883f3f92018057c6376cc393",
     "approx": "741d44a9e6e7c3abd065e80c39a495466d261bcdbe692caf1f21cb3b382ff258",
     "structure": "07774b918aedeedfa6d43816f3c57eee2761890403fb624b25be65d0bddd0657",
 }
