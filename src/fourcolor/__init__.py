@@ -69,7 +69,7 @@ from .patterns import (
     find_induced,
     matches_pattern,
 )
-from .reduction import ReductionTrace, find_comparable_pair, reduce_to_core, reinsert_colors
+from .reduction import ReductionTrace, reduce_to_core, reinsert_colors
 from .structure import (
     C5Partition,
     H1Partition,

@@ -6,6 +6,7 @@ set algebra are word-parallel. Vertices are always the dense range 0..n-1.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Iterator
 
 from .errors import GraphFormatError, SizeGuardExceeded
@@ -161,6 +162,8 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
 # into big-endian 6-bit groups offset by 63.
 
 _G6_HEADER = ">>graph6<<"
+_G6_OUTSIDE = re.compile("[^?-~]")  # the alphabet is chr(63) .. chr(126)
+_G6_BITS = {chr(63 + d): format(d, "06b") for d in range(64)}
 
 
 def _g6_encode_size(n: int) -> str:
@@ -196,10 +199,10 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(_G6_HEADER):].strip()
     if not s:
         raise GraphFormatError("empty graph6 string")
-    for ch in s:
-        if not 63 <= ord(ch) <= 126:
-            raise GraphFormatError(f"byte {ord(ch)!r} outside the graph6 alphabet")
-    data = [ord(ch) - 63 for ch in s]
+    bad = _G6_OUTSIDE.search(s)
+    if bad:
+        raise GraphFormatError(f"byte {ord(bad.group())!r} outside the graph6 alphabet")
+    data = [ord(ch) - 63 for ch in s[:8]]
     if data[0] != 63:
         n, idx = data[0], 1
     elif len(data) >= 2 and data[1] != 63:
@@ -215,19 +218,19 @@ def parse_graph6(text: str) -> Graph:
         idx = 8
     _check_size(n)
     need = (n * (n - 1) // 2 + 5) // 6
-    body = data[idx:]
+    body = s[idx:]
     if len(body) != need:
         raise GraphFormatError(f"graph6 body has {len(body)} groups, expected {need} for n={n}")
-    rows = [0] * n
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            group, offset = divmod(k, 6)
-            if (body[group] >> (5 - offset)) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            k += 1
-    return Graph(n, tuple(rows))
+    # Column j's bits x(0,j) .. x(j-1,j) are contiguous. Reversed and padded
+    # to n characters, column j reads as row j's bits below j; read across
+    # the columns at one offset, the same layout gives a row's bits above it.
+    body_bits = "".join(map(_G6_BITS.__getitem__, body))
+    cols = "".join(
+        "0" * (n - j) + body_bits[j * (j - 1) // 2:j * (j + 1) // 2][::-1] for j in range(n)
+    )
+    return Graph(n, tuple(
+        int(cols[v * n:(v + 1) * n], 2) | int(cols[n - 1 - v::n][::-1], 2) for v in range(n)
+    ))
 
 
 # -- edge list ----------------------------------------------------------------

@@ -3,7 +3,11 @@
 The search is role-ordered: a witness records which graph vertex plays each
 pattern vertex, so downstream decompositions know e.g. which cycle vertex is
 "1" and which vertex is the apex. Absence of a witness certifies freeness
-because the backtracking is exhaustive.
+because the backtracking is exhaustive. It is an iterative depth-first search
+over a placement order fixed per pattern: each depth keeps the candidate
+masks of the steps still to come, placing a vertex intersects them with its
+row or its non-row, and a branch ends once one of them is empty. Witnesses
+come in the order of the plain recursive search over the same steps.
 
 Class certification for the four-vertex patterns uses per-vertex tests
 instead: a vertex with neighborhood N is in an induced K4 iff N holds a
@@ -28,7 +32,7 @@ cost of their quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .graph import Graph, bits, complement, complete, cycle, empty
@@ -39,6 +43,16 @@ class Pattern:
     name: str
     model: Graph
     order: tuple[int, ...]  # role placement order used by the search
+    # later[t][i]: must the role placed at step t be adjacent to the role
+    # placed at step t + 1 + i
+    later: tuple[tuple[bool, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        order = self.order
+        later = tuple(
+            tuple(self.model.has_edge(r, s) for s in order[t + 1:]) for t, r in enumerate(order)
+        )
+        object.__setattr__(self, "later", later)
 
 
 @dataclass(frozen=True)
@@ -111,41 +125,39 @@ def enumerate_induced(
     k = p.model.n
     if g.n < k:
         return
-    order = p.order
-    mrows = p.model.rows
-    # cons[t]: adjacency requirements of the role placed at step t against
-    # the roles placed at earlier steps.
-    cons = [
-        tuple((order[s], (mrows[order[t]] >> order[s]) & 1) for s in range(t))
-        for t in range(k)
-    ]
-    grows = g.rows
     full = (1 << g.n) - 1
-    gnon = [full & ~grows[v] & ~(1 << v) for v in range(g.n)]
-    assign = [0] * k
-
-    def rec(t: int, used: int, pin: tuple[int, int] | None) -> Iterator[Witness]:
-        if t == k:
-            yield Witness(p.name, tuple(assign))
-            return
-        cand = full & ~used
-        for role, adj in cons[t]:
-            u = assign[role]
-            cand &= grows[u] if adj else gnon[u]
-        if pin is not None:
-            step, vbit = pin
-            cand = cand & vbit if t == step else cand & ~vbit
-        role = order[t]
-        for v in bits(cand):
-            assign[role] = v
-            yield from rec(t + 1, used | (1 << v), pin)
-
     if containing is None:
-        yield from rec(0, 0, None)
+        starts = [(full,) * k]
     else:
+        # one search per step that may place the vertex, in step order
         vbit = 1 << containing
-        for step in range(k):
-            yield from rec(0, 0, (step, vbit))
+        starts = [tuple(full & (vbit if s == t else ~vbit) for s in range(k)) for t in range(k)]
+    rows, name, order, later = g.rows, p.name, p.order, p.later
+    last = k - 1
+    assign = [0] * k
+    left = [0] * k  # left[t]: candidates of step t not yet tried
+    ahead = [()] * k  # ahead[t]: candidate masks of steps t+1.. given steps < t
+    for start in starts:
+        left[0], ahead[0] = start[0], start[1:]
+        t = 0
+        while t >= 0:
+            cand = left[t]
+            if not cand:
+                t -= 1
+                continue
+            b = cand & -cand
+            left[t] = cand ^ b
+            v = b.bit_length() - 1
+            assign[order[t]] = v
+            if t == last:
+                yield Witness(name, tuple(assign))
+                continue
+            row = rows[v]
+            non = ~row ^ b  # neither a neighbor nor the vertex itself
+            nxt = [m & row if adj else m & non for m, adj in zip(ahead[t], later[t])]
+            if all(nxt):
+                t += 1
+                left[t], ahead[t] = nxt[0], nxt[1:]
 
 
 def find_induced(g: Graph, pattern: str | Pattern, containing: int | None = None) -> Witness | None:

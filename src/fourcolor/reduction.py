@@ -3,6 +3,14 @@
 Two nonadjacent vertices u, v with N(u) subseteq N(v) have the same chromatic
 behavior: u can be deleted and later recolored with v's color. Iterating this
 to a fixed point yields a core with the same chromatic number.
+
+The reduction scans a `pending` mask upward: the alive vertices not yet known
+to be undominated. Deleting w leaves every non-neighbor u of w undominated if
+it was: N(u) is unchanged and the candidates v only shrink. A neighbor u of w
+may become dominated only if w was the last alive vertex of its false-twin
+class (same row): while a twin w' lives, w' is in N(u) and misses exactly the
+vertices w missed, so it rules out every v that w ruled out. So only then do
+w's alive neighbors go back to `pending`.
 """
 
 from __future__ import annotations
@@ -20,37 +28,38 @@ class ReductionTrace:
     core_vertices: tuple[int, ...]      # core index -> original id
 
 
-def _first_comparable(rows: tuple[int, ...], alive: int) -> tuple[int, int] | None:
-    """Smallest u, then smallest v, among alive vertices of the subgraph the
-    mask induces, with u, v nonadjacent and N(u) subseteq N(v)."""
-    for u in bits(alive):
-        ru = rows[u] & alive
-        # v is adjacent to every neighbor of u iff N(u) subseteq N(v)
-        cand = alive & ~ru & ~(1 << u)
-        for x in bits(ru):
-            cand &= rows[x]
-        if cand:
-            return u, (cand & -cand).bit_length() - 1
-    return None
-
-
-def find_comparable_pair(g: Graph) -> tuple[int, int] | None:
-    """Nonadjacent (u, v) with N(u) subseteq N(v), smallest u then smallest v."""
-    return _first_comparable(g.rows, (1 << g.n) - 1)
-
-
 def reduce_to_core(g: Graph) -> tuple[Graph, ReductionTrace]:
     """Delete dominated vertices until no comparable pair remains.
 
-    The deleted vertices leave an alive mask; the core is built once, at the
-    end. Each step takes the first pair of the remaining subgraph, so the
-    removal order is that of rebuilding the subgraph after every deletion.
+    Each step removes the smallest dominated u of the remaining subgraph for
+    the smallest v dominating it, so the removal order is that of rebuilding
+    the subgraph after every deletion. The core is built once, at the end.
     """
-    alive = (1 << g.n) - 1
+    rows = g.rows
+    classes: dict[int, int] = {}  # row -> mask of the false twins sharing it
+    for v, r in enumerate(rows):
+        classes[r] = classes.get(r, 0) | 1 << v
+    twins = [classes[r] for r in rows]
+    alive = pending = (1 << g.n) - 1
     steps: list[tuple[int, int]] = []
-    while (pair := _first_comparable(g.rows, alive)) is not None:
-        steps.append(pair)
-        alive &= ~(1 << pair[0])
+    while pending:
+        ubit = pending & -pending
+        pending ^= ubit
+        u = ubit.bit_length() - 1
+        ru = rows[u] & alive
+        # v is adjacent to every neighbor of u iff N(u) subseteq N(v); twins
+        # have equal rows, so one member of each class is intersected
+        cand = alive & ~ru & ~ubit
+        rest = ru
+        while rest and cand:
+            x = (rest & -rest).bit_length() - 1
+            cand &= rows[x]
+            rest &= ~twins[x]
+        if cand:
+            steps.append((u, lowest(cand)))
+            alive ^= ubit
+            if not twins[u] & alive:
+                pending |= ru
     core, to_orig = induced_subgraph(g, bits(alive))
     return core, ReductionTrace(g.n, tuple(steps), to_orig)
 

@@ -1,7 +1,10 @@
 """Shared strategies and naive reference oracles for the test suite.
 
 The helpers here deliberately avoid the library's own search/coloring code
-paths so they can serve as independent checks.
+paths so they can serve as independent checks. The references for the
+pattern search and the reduction are the library's earlier, plainer loops:
+the recursive search and the alive-mask rescan, kept here to pin the order
+of witnesses and removal steps.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from itertools import combinations, permutations, product
 
 from hypothesis import strategies as st
 
-from fourcolor import Graph, PATTERNS, bits, complement
+from fourcolor import Graph, PATTERNS, ReductionTrace, Witness, bits, complement, induced_subgraph
 
 
 @st.composite
@@ -156,3 +159,116 @@ def find_odd_hole_bruteforce(g: Graph) -> tuple[int, ...] | None:
             if len(seen) == length:
                 return sub
     return None
+
+
+def blowup(rng: random.Random, base: Graph, sizes) -> Graph:
+    """Each vertex v of base replaced by sizes[v] false twins (an independent
+    set joined to the sets of v's neighbors), with the vertices shuffled."""
+    starts = [sum(sizes[:v]) for v in range(base.n + 1)]
+    n = starts[-1]
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph.from_edges(n, [
+        (label[a], label[b])
+        for u, v in base.edges()
+        for a in range(starts[u], starts[u + 1])
+        for b in range(starts[v], starts[v + 1])
+    ])
+
+
+def reference_enumerate(g: Graph, pattern_name: str, containing: int | None = None):
+    """The recursive role-ordered search: every induced occurrence of the
+    pattern, placing roles in the pattern's search order, each vertex tried
+    in ascending order; with `containing`, one pass per step that may place
+    that vertex."""
+    p = PATTERNS[pattern_name]
+    k = p.model.n
+    if g.n < k:
+        return
+    order = p.order
+    mrows = p.model.rows
+    cons = [
+        tuple((order[s], (mrows[order[t]] >> order[s]) & 1) for s in range(t))
+        for t in range(k)
+    ]
+    grows = g.rows
+    full = (1 << g.n) - 1
+    gnon = [full & ~grows[v] & ~(1 << v) for v in range(g.n)]
+    assign = [0] * k
+
+    def rec(t, used, pin):
+        if t == k:
+            yield Witness(p.name, tuple(assign))
+            return
+        cand = full & ~used
+        for role, adj in cons[t]:
+            u = assign[role]
+            cand &= grows[u] if adj else gnon[u]
+        if pin is not None:
+            step, vbit = pin
+            cand = cand & vbit if t == step else cand & ~vbit
+        role = order[t]
+        for v in bits(cand):
+            assign[role] = v
+            yield from rec(t + 1, used | (1 << v), pin)
+
+    if containing is None:
+        yield from rec(0, 0, None)
+    else:
+        vbit = 1 << containing
+        for step in range(k):
+            yield from rec(0, 0, (step, vbit))
+
+
+def first_comparable(g: Graph, alive: int | None = None) -> tuple[int, int] | None:
+    """Smallest u, then smallest v, among the vertices of the alive mask (all
+    of g by default), with u, v nonadjacent and N(u) subseteq N(v) in the
+    subgraph the mask induces."""
+    if alive is None:
+        alive = (1 << g.n) - 1
+    for u in bits(alive):
+        ru = g.rows[u] & alive
+        cand = alive & ~ru & ~(1 << u)
+        for x in bits(ru):
+            cand &= g.rows[x]
+        if cand:
+            return u, (cand & -cand).bit_length() - 1
+    return None
+
+
+def alive_mask_reduce(g: Graph):
+    """Delete the first comparable pair's u from an alive mask, rescanning
+    every alive vertex after each deletion; build the core at the end."""
+    alive = (1 << g.n) - 1
+    steps = []
+    while (pair := first_comparable(g, alive)) is not None:
+        steps.append(pair)
+        alive &= ~(1 << pair[0])
+    core, to_orig = induced_subgraph(g, bits(alive))
+    return core, ReductionTrace(g.n, tuple(steps), to_orig)
+
+
+def reference_reduce(g: Graph):
+    """Rebuild the induced subgraph after every deletion, scanning it for the
+    smallest u, then smallest v, that are nonadjacent with N(u) subseteq N(v)."""
+    current = g
+    to_orig = tuple(range(g.n))
+    steps = []
+    while True:
+        pair = next(
+            (
+                (u, v)
+                for u in range(current.n)
+                for v in range(current.n)
+                if v != u
+                and not current.has_edge(u, v)
+                and current.rows[u] & ~current.rows[v] == 0
+            ),
+            None,
+        )
+        if pair is None:
+            return current, ReductionTrace(g.n, tuple(steps), to_orig)
+        u, v = pair
+        steps.append((to_orig[u], to_orig[v]))
+        current, local = induced_subgraph(current, [w for w in range(current.n) if w != u])
+        to_orig = tuple(to_orig[w] for w in local)

@@ -29,6 +29,7 @@ from fourcolor import (
     find_induced,
     parse_graph6,
     path,
+    reduce_to_core,
     select_best_h1,
     select_best_h2,
     verify_coloring,
@@ -480,10 +481,13 @@ def test_c5_case_spread_and_blowup():
     _assert_proper(c5, col)
     assert rec.case == "c5/spread"
 
-    g = c5_with_plants([("R", 0), ("Y", 1), ("Z", 0)], extra_edges=[(6, 7)])
-    if certify_class(g, ("2P2", "K4")) is None and find_induced(g, "H1") is None:
-        col, trace = four_color(g)
-        _assert_proper(g, col)
+    # four_color reduces the blow-up to a five-cycle core and takes the same leaf
+    g = c5_blowup((3, 2, 2, 1, 1))
+    _, rtrace = reduce_to_core(g)
+    assert rtrace.steps == ((0, 1), (1, 2), (3, 4), (5, 6))
+    col, trace = four_color(g)
+    _assert_proper(g, col)
+    assert [r.case for r in trace.records] == ["c5/spread"]
 
     # z = 7 sees both Y[2] and Y[4], so it joins the class of cycle vertex 4
     g = c5_with_plants([("Y", 2), ("Y", 4), ("Z", 0)], [(7, 5), (7, 6)])

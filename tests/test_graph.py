@@ -1,8 +1,10 @@
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 
-from conftest import graphs
+from conftest import graphs, random_graph
 from fourcolor import (
     Graph,
     GraphFormatError,
@@ -127,6 +129,18 @@ def test_graph6_round_trip_matches_reference(g):
 def test_graph6_large_n_header():
     g = empty(100)
     assert parse_graph6(emit_graph6(g)) == g
+
+
+def test_graph6_reads_networkx_tokens_with_long_headers():
+    # parse_graph6 decodes the body column by column; networkx encodes it
+    rng = random.Random(6)
+    for n in (63, 100, 257):
+        for p in (0.1, 0.5, 0.9):
+            g = random_graph(rng, n, p)
+            nxg = nx.Graph()
+            nxg.add_nodes_from(range(n))
+            nxg.add_edges_from(g.edges())
+            assert parse_graph6(nx.to_graph6_bytes(nxg, header=False).decode()) == g
 
 
 # -- edge list ----------------------------------------------------------------

@@ -9,7 +9,13 @@ import networkx as nx
 import pytest
 
 import fourcolor
-from conftest import naive_chromatic, naive_find_induced, naive_is_k_colorable, random_graph
+from conftest import (
+    first_comparable,
+    naive_chromatic,
+    naive_find_induced,
+    naive_is_k_colorable,
+    random_graph,
+)
 from fourcolor import (
     GenerationError,
     Graph,
@@ -23,7 +29,6 @@ from fourcolor import (
     connected_components,
     cycle,
     empty,
-    find_comparable_pair,
     induced_subgraph,
     parse_graph6,
     reduce_to_core,
@@ -219,7 +224,7 @@ def test_seed_cores_are_connected_members_without_comparable_pairs():
         g = parse_graph6(token)
         assert certify_class(g, ("2P2", "K4")) is None, token
         assert len(connected_components(g)) == 1, token
-        assert find_comparable_pair(g) is None, token
+        assert first_comparable(g) is None, token
 
 
 @pytest.mark.parametrize("method", ["planted", "incremental"])

@@ -4,9 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_labelled_graphs, graphs, large_graphs, naive_find_induced, random_graph
+from conftest import (
+    all_labelled_graphs,
+    graphs,
+    large_graphs,
+    naive_find_induced,
+    random_graph,
+    reference_enumerate,
+)
 from fourcolor import (
     PATTERNS,
+    Graph,
     certify_class,
     complement,
     complete,
@@ -15,9 +23,11 @@ from fourcolor import (
     find_induced,
     induced_subgraph,
     matches_pattern,
+    parse_graph6,
     path,
 )
 from fourcolor.lab import c5_blowup, construction
+from fourcolor.suite import SEED_CORES
 from fourcolor.patterns import _2p2_through, _false_twin_quotient, _k4_through
 
 
@@ -123,6 +133,38 @@ def test_enumeration_is_deterministic():
     first = [w.vertices for w in enumerate_induced(g, "C4")]
     second = [w.vertices for w in enumerate_induced(g, "C4")]
     assert first == second
+
+
+# The search keeps the witness order of the recursive reference: every
+# pattern, with and without a vertex it must contain.
+
+
+def _assert_same_witnesses(g):
+    for name in PATTERNS:
+        for containing in (None, *range(g.n)):
+            ours = list(enumerate_induced(g, name, containing))
+            assert ours == list(reference_enumerate(g, name, containing)), (g.rows, name, containing)
+
+
+def test_search_order_matches_the_recursive_reference_on_every_small_graph():
+    for g in all_labelled_graphs(5):
+        _assert_same_witnesses(g)
+
+
+@given(large_graphs(max_n=12))
+@settings(max_examples=60, deadline=None)
+def test_search_order_matches_the_recursive_reference_on_larger_graphs(g):
+    _assert_same_witnesses(g)
+
+
+@pytest.mark.parametrize("token", SEED_CORES)
+def test_search_order_matches_the_recursive_reference_on_relabelled_seed_cores(token):
+    g = parse_graph6(token)
+    rng = random.Random(token)
+    for _ in range(20):
+        label = list(range(g.n))
+        rng.shuffle(label)
+        _assert_same_witnesses(Graph.from_edges(g.n, [(label[u], label[v]) for u, v in g.edges()]))
 
 
 EDGE_TESTED = ("2P2", "K4", "4P1", "C4")

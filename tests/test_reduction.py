@@ -2,8 +2,19 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import all_labelled_graphs, graphs, large_graphs, naive_chromatic, random_graph
+from conftest import (
+    alive_mask_reduce,
+    all_labelled_graphs,
+    blowup,
+    first_comparable,
+    graphs,
+    large_graphs,
+    naive_chromatic,
+    random_graph,
+    reference_reduce,
+)
 from fourcolor import (
     Graph,
     Coloring,
@@ -13,28 +24,31 @@ from fourcolor import (
     complete,
     connected_components,
     cycle,
+    emit_graph6,
     empty,
-    find_comparable_pair,
-    induced_subgraph,
+    parse_graph6,
     path,
     reduce_to_core,
     reinsert_colors,
     verify_coloring,
 )
-from fourcolor.lab import exact_chromatic
+from fourcolor.lab import GeneratorConfig, c5_blowup, construction, exact_chromatic, generate
+from fourcolor.suite import SEED_CORES
 
 
 def test_p3_leaves_are_comparable():
-    assert find_comparable_pair(path(3)) == (0, 2)
+    assert first_comparable(path(3)) == (0, 2)
+    assert reduce_to_core(path(3))[1].steps == ((0, 2),)
 
 
 def test_c5_has_no_comparable_pair():
-    assert find_comparable_pair(cycle(5)) is None
+    assert first_comparable(cycle(5)) is None
 
 
 def test_star_leaf_pair():
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    assert find_comparable_pair(star) == (1, 2)
+    assert first_comparable(star) == (1, 2)
+    assert reduce_to_core(star)[1].steps[0] == (1, 2)
 
 
 def test_p3_reduces_to_edge():
@@ -137,32 +151,6 @@ def test_core_preserves_chromatic_number(g):
     assert max(back.colors, default=0) <= chi_core
 
 
-def reference_reduce(g):
-    """Rebuild the induced subgraph after every deletion, scanning it for the
-    smallest u, then smallest v, that are nonadjacent with N(u) subseteq N(v)."""
-    current = g
-    to_orig = tuple(range(g.n))
-    steps = []
-    while True:
-        pair = next(
-            (
-                (u, v)
-                for u in range(current.n)
-                for v in range(current.n)
-                if v != u
-                and not current.has_edge(u, v)
-                and current.rows[u] & ~current.rows[v] == 0
-            ),
-            None,
-        )
-        if pair is None:
-            return current, ReductionTrace(g.n, tuple(steps), to_orig)
-        u, v = pair
-        steps.append((to_orig[u], to_orig[v]))
-        current, local = induced_subgraph(current, [w for w in range(current.n) if w != u])
-        to_orig = tuple(to_orig[w] for w in local)
-
-
 def test_reduce_to_core_matches_the_rebuild_loop_on_every_small_graph():
     for g in all_labelled_graphs(6):
         core, trace = reduce_to_core(g)
@@ -185,4 +173,54 @@ def test_reduce_to_core_matches_the_rebuild_loop_on_larger_graphs(g):
     ref_core, ref_trace = reference_reduce(g)
     assert core.rows == ref_core.rows
     assert trace == ref_trace
-    assert find_comparable_pair(g) == (ref_trace.steps[0] if ref_trace.steps else None)
+    assert first_comparable(g) == (ref_trace.steps[0] if ref_trace.steps else None)
+
+
+# Each step retests only the vertices a deletion can change: the neighbors of
+# a vertex that was the last alive member of its false-twin class. The inputs
+# are blow-ups (every vertex a class of false twins) of members grown around a
+# core by dominated additions, so the reduction deletes twins one by one and
+# whole classes of additions; the alive-mask loop rescans everything.
+
+
+def _planted_blowup(rng, start, extra, n):
+    """A member grown from `start` by `extra` dominated additions, with each
+    vertex then blown up into false twins to n vertices in all."""
+    token = emit_graph6(start)
+    g = generate(GeneratorConfig(n=start.n + extra, seed=rng.randrange(2**32), method=f"planted:{token}"))
+    sizes = [1] * g.n
+    for _ in range(n - g.n):
+        sizes[rng.randrange(g.n)] += 1
+    return blowup(rng, g, sizes)
+
+
+@pytest.mark.parametrize("base", ["C5", "W5", "C7-complement"])
+def test_reduce_to_core_matches_the_alive_mask_loop_on_blowups(base):
+    model = construction(base)
+    rng = random.Random(base)
+    for n in (100, 250, 600):
+        for extra in (0, 12):
+            g = _planted_blowup(rng, model, extra, n)
+            core, trace = reduce_to_core(g)
+            ref_core, ref_trace = alive_mask_reduce(g)
+            assert core.rows == ref_core.rows and trace == ref_trace, (base, n, extra)
+            assert core.n == model.n and len(trace.steps) == n - model.n
+
+
+@given(st.sampled_from(SEED_CORES + ("C5", "W5", "C7-complement")), st.data())
+@settings(max_examples=60, deadline=None)
+def test_reduce_to_core_matches_the_alive_mask_loop_on_members_with_planted_twins(name, data):
+    start = parse_graph6(name) if name in SEED_CORES else construction(name)
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    extra = data.draw(st.integers(0, 10))
+    g = _planted_blowup(rng, start, extra, data.draw(st.integers(start.n + extra, 80)))
+    assert certify_class(g, ("2P2", "K4")) is None
+    core, trace = reduce_to_core(g)
+    ref_core, ref_trace = alive_mask_reduce(g)
+    assert core.rows == ref_core.rows and trace == ref_trace
+
+
+def test_a_3000_vertex_c5_blowup_reduces_to_its_cycle():
+    core, trace = reduce_to_core(c5_blowup((600,) * 5))
+    assert core == cycle(5)
+    assert len(trace.steps) == 2995
